@@ -39,7 +39,6 @@ from .pbw import (
     generator,
     identity,
     is_W_invariant,
-    multiply,
     pr_chi,
     supercommutator,
     twisted_action,

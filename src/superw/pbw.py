@@ -11,9 +11,13 @@ fail to be invariant.)
 
 Monomials are stored as weakly increasing tuples of basis-pair indices;
 odd indices never repeat (odd squares vanish).  Straightening is the
-rewrite x·y -> +/- y·x + [x,y] applied recursively with memoization, and
-all bracket structure constants are integers, so coefficients stay in
-int until user scalars introduce Fractions.
+rewrite x·y -> +/- y·x + [x,y]: a generator times a normal monomial is
+straightened recursively and memoized per (generator, monomial), the
+only memo the engine keeps.  A product a·b of elements is evaluated by
+Horner's scheme over the last factors of a: with a = sum_x a_x·x, each
+x·b is straightened once and a_x·(x·b) is formed recursively, merging
+terms after every step.  All bracket structure constants are integers,
+so coefficients stay in int until user scalars introduce Fractions.
 """
 
 from __future__ import annotations
@@ -33,6 +37,16 @@ from .pyramid import Pyramid, chi as pyramid_chi, graded_basis
 from .gl import e as lie_e
 
 Scalar = int | Fraction
+
+
+def _add_scaled(acc: dict, terms: Mapping[tuple, Scalar], c: Scalar) -> None:
+    """acc += c·terms in place, dropping coefficients that cancel to 0."""
+    for mono, cm in terms.items():
+        v = acc.get(mono, 0) + c * cm
+        if v:
+            acc[mono] = v
+        elif mono in acc:
+            del acc[mono]
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,6 @@ class EnvelopingAlgebra:
                 raise AssertionError(f"odd self-bracket nonzero for {pr}")
         self._brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._gen_memo: dict = {}
-        self._mono_memo: dict = {}
 
     # -- structure constants -------------------------------------------
 
@@ -105,7 +118,9 @@ class EnvelopingAlgebra:
     def _gen_times_mono(self, x: int, mono: tuple) -> dict:
         """Normal form of generator x times normal monomial mono.
 
-        Returned dicts live in the memo table; callers must not mutate.
+        Results are memoized per (x, mono); this is the engine's only
+        product memo.  Returned dicts live in the memo table; callers must
+        not mutate them.
         """
         key = (x, mono)
         hit = self._gen_memo.get(key)
@@ -124,44 +139,36 @@ class EnvelopingAlgebra:
                 sgn = -1 if (self.parities[x] and self.parities[y]) else 1
                 acc: dict = {}
                 for sub, c in self._gen_times_mono(x, rest).items():
-                    if sgn < 0:
-                        c = -c
-                    for out, c2 in self._gen_times_mono(y, sub).items():
-                        v = acc.get(out, 0) + c * c2
-                        if v:
-                            acc[out] = v
-                        elif out in acc:
-                            del acc[out]
+                    _add_scaled(acc, self._gen_times_mono(y, sub), sgn * c)
                 for z, cz in self._bracket_idx(x, y):
-                    for out, c2 in self._gen_times_mono(z, rest).items():
-                        v = acc.get(out, 0) + cz * c2
-                        if v:
-                            acc[out] = v
-                        elif out in acc:
-                            del acc[out]
+                    _add_scaled(acc, self._gen_times_mono(z, rest), cz)
                 res = acc
         self._gen_memo[key] = res
         return res
 
-    def _mono_times_mono(self, left: tuple, right: tuple) -> dict:
-        if not left:
-            return {right: 1}
-        if not right:
-            return {left: 1}
-        key = (left, right)
-        hit = self._mono_memo.get(key)
-        if hit is not None:
-            return hit
-        head, x = left[:-1], left[-1]
-        acc: dict = {}
-        for mid, c in self._gen_times_mono(x, right).items():
-            for out, c2 in self._mono_times_mono(head, mid).items():
-                v = acc.get(out, 0) + c * c2
-                if v:
-                    acc[out] = v
-                elif out in acc:
-                    del acc[out]
-        self._mono_memo[key] = acc
+    def _times(self, a: dict, b: dict, acc: dict | None = None) -> dict:
+        """Normal form of a·b for term dicts a and b (not mutated), added
+        into acc when given.
+
+        Horner's scheme over the suffix trie of a: the terms of a are
+        grouped by their last factor x, so a = sum_x a_x·x + a_0 with a_0
+        scalar; x·b is straightened once per group and then multiplied on
+        the left by the prefixes a_x.
+        """
+        if acc is None:
+            acc = {}
+        groups: dict[int, dict] = {}
+        for mono, c in a.items():
+            if mono:
+                groups.setdefault(mono[-1], {})[mono[:-1]] = c
+            else:
+                _add_scaled(acc, b, c)
+        for x, prefixes in groups.items():
+            xb: dict = {}
+            for mono, c in b.items():
+                _add_scaled(xb, self._gen_times_mono(x, mono), c)
+            if xb:
+                self._times(prefixes, xb, acc)
         return acc
 
     def mono_parity(self, mono: tuple) -> int:
@@ -191,11 +198,7 @@ class UEAElement:
         self.algebra = algebra
         data: dict[tuple, Scalar] = {}
         if terms:
-            for mono, c in terms.items():
-                if c:
-                    data[mono] = data.get(mono, 0) + c
-                    if not data[mono]:
-                        del data[mono]
+            _add_scaled(data, terms, 1)
         self.terms = data
 
     # -- constructors ---------------------------------------------------
@@ -218,12 +221,7 @@ class UEAElement:
             other = scalar_element(self.algebra, other)
         self._check_same(other)
         data = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = data.get(mono, 0) + c
-            if v:
-                data[mono] = v
-            elif mono in data:
-                del data[mono]
+        _add_scaled(data, other.terms, 1)
         return UEAElement._raw(self.algebra, data)
 
     __radd__ = __add__
@@ -245,18 +243,7 @@ class UEAElement:
                 return UEAElement._raw(self.algebra, {})
             return UEAElement._raw(self.algebra, {m: c * other for m, c in self.terms.items()})
         self._check_same(other)
-        alg = self.algebra
-        acc: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                c = ca * cb
-                for mono, cc in alg._mono_times_mono(a, b).items():
-                    v = acc.get(mono, 0) + c * cc
-                    if v:
-                        acc[mono] = v
-                    elif mono in acc:
-                        del acc[mono]
-        return UEAElement._raw(alg, acc)
+        return UEAElement._raw(self.algebra, self.algebra._times(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -378,34 +365,24 @@ def from_factors(alg: EnvelopingAlgebra, factors: Iterable[tuple[Pair, int]], c:
 # -- module operations --------------------------------------------------
 
 
-def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a * b
-
-
 def supercommutator(a: UEAElement, b: UEAElement) -> UEAElement:
-    """[a, b] = ab - (-1)^{p(a)p(b)} ba, computed term by term."""
+    """[a, b] = ab - (-1)^{p(a)p(b)} ba, extended bilinearly over parity parts.
+
+    With b = b_0 + b_1 split by parity, this is ab - b_0·a - b_1·a' where
+    a' = a_0 - a_1, so mixed elements get the sign per pair of parts.
+    """
     a._check_same(b)
     alg = a.algebra
-    acc: dict = {}
-    for A, ca in a.terms.items():
-        pa = alg.mono_parity(A)
-        for B, cb in b.terms.items():
-            pb = alg.mono_parity(B)
-            c = ca * cb
-            for mono, cc in alg._mono_times_mono(A, B).items():
-                v = acc.get(mono, 0) + c * cc
-                if v:
-                    acc[mono] = v
-                elif mono in acc:
-                    del acc[mono]
-            if pa and pb:
-                c = -c
-            for mono, cc in alg._mono_times_mono(B, A).items():
-                v = acc.get(mono, 0) - c * cc
-                if v:
-                    acc[mono] = v
-                elif mono in acc:
-                    del acc[mono]
+    neg_b_even: dict = {}
+    neg_b_odd: dict = {}
+    for mono, c in b.terms.items():
+        (neg_b_odd if alg.mono_parity(mono) else neg_b_even)[mono] = -c
+    acc = alg._times(a.terms, b.terms)
+    if neg_b_even:
+        alg._times(neg_b_even, a.terms, acc)
+    if neg_b_odd:
+        a_signed = {m: -c if alg.mono_parity(m) else c for m, c in a.terms.items()}
+        alg._times(neg_b_odd, a_signed, acc)
     return UEAElement._raw(alg, acc)
 
 

@@ -224,7 +224,12 @@ class Pyramid:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Pyramid":
-        return cls(ShiftMatrix.from_rows(doc["shift"]), int(doc["ell"]), doc["signs"])
+        ell = doc["ell"]
+        # int() would truncate 4.7 to 4 and accept True as 1
+        integral = isinstance(ell, int) or (isinstance(ell, float) and ell.is_integer())
+        if isinstance(ell, bool) or not integral:
+            raise ValueError(f"ell must be an integer, got {ell!r}")
+        return cls(ShiftMatrix.from_rows(doc["shift"]), int(ell), doc["signs"])
 
 
 def from_shift(shift, ell: int, signs) -> Pyramid:

@@ -262,10 +262,6 @@ def _norm_rel(rel: str) -> str:
     return rel
 
 
-def _scomm(py: Pyramid, a: UEAElement, b: UEAElement) -> UEAElement:
-    return supercommutator(a, b)
-
-
 def _sum_range(terms) -> UEAElement | int:
     acc = None
     for t in terms:
@@ -297,10 +293,10 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         ok = lhs == (identity(alg) if r == 0 else zero)
     elif rel == "dd-comm":
         i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
-        ok = _scomm(py, D(py, i, r), D(py, j, s)).is_zero()
+        ok = supercommutator(D(py, i, r), D(py, j, s)).is_zero()
     elif rel == "de":
         i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
-        lhs = _scomm(py, D(py, i, r), E(py, j, s))
+        lhs = supercommutator(D(py, i, r), E(py, j, s))
         coef = (1 if i == j else 0) - (1 if i == j + 1 else 0)
         if coef == 0 or r == 0:
             rhs = zero
@@ -311,7 +307,7 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         ok = lhs == rhs
     elif rel == "df":
         i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
-        lhs = _scomm(py, D(py, i, r), F(py, j, s))
+        lhs = supercommutator(D(py, i, r), F(py, j, s))
         coef = (1 if i == j + 1 else 0) - (1 if i == j else 0)
         if coef == 0 or r == 0:
             rhs = zero
@@ -322,7 +318,7 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         ok = lhs == rhs
     elif rel == "ef":
         i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
-        lhs = _scomm(py, E(py, i, r), F(py, j, s))
+        lhs = supercommutator(E(py, i, r), F(py, j, s))
         if i != j:
             rhs = zero
         else:
@@ -336,14 +332,14 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
     elif rel == "ee-same":
         i, r, s = kw["i"], kw["r"], kw["s"]
         lo = py.shift.s(i, i + 1) + 1
-        lhs = _scomm(py, E(py, i, r), E(py, i, s))
+        lhs = supercommutator(E(py, i, r), E(py, i, s))
         pieces = [_E_raw(py, i, r + s - 1 - t) * _E_raw(py, i, t) for t in range(lo, s)]
         pieces += [-(_E_raw(py, i, r + s - 1 - t) * _E_raw(py, i, t)) for t in range(lo, r)]
         rhs = sgn_row(i + 1) * (_sum_range(pieces) if pieces else zero)
         ok = lhs == rhs
     elif rel == "ff-same":
         i, r, s = kw["i"], kw["r"], kw["s"]
-        lhs = _scomm(py, F(py, i, r), F(py, i, s))
+        lhs = supercommutator(F(py, i, r), F(py, i, s))
 
         def rhs_from(lo: int) -> UEAElement:
             pieces = [_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t) for t in range(lo, r)]
@@ -356,15 +352,15 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         variants["lower_index_zero"] = ok if shift == 0 else lhs == rhs_from(1)
     elif rel == "ee-adjacent":
         i, r, s = kw["i"], kw["r"], kw["s"]
-        lhs = _scomm(py, E(py, i, r + 1), E(py, i + 1, s)) - _scomm(
-            py, E(py, i, r), E(py, i + 1, s + 1)
+        lhs = supercommutator(E(py, i, r + 1), E(py, i + 1, s)) - supercommutator(
+            E(py, i, r), E(py, i + 1, s + 1)
         )
         rhs = sgn_row(i + 1) * (E(py, i, r) * E(py, i + 1, s))
         ok = lhs == rhs
     elif rel == "ff-adjacent":
         i, r, s = kw["i"], kw["r"], kw["s"]
-        lhs = _scomm(py, F(py, i, r + 1), F(py, i + 1, s)) - _scomm(
-            py, F(py, i, r), F(py, i + 1, s + 1)
+        lhs = supercommutator(F(py, i, r + 1), F(py, i + 1, s)) - supercommutator(
+            F(py, i, r), F(py, i + 1, s + 1)
         )
         p0, p1, p2 = py.row_sign(i), py.row_sign(i + 1), py.row_sign(i + 2)
         sign = -1 if (1 + p0 * p1 + p1 * p2 + p0 * p2) % 2 else 1
@@ -378,15 +374,15 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         if abs(i - j) <= 1:
             raise ValueError(f"relation {rel} needs |i-j| > 1")
         make = E if rel == "ee-distant" else F
-        ok = _scomm(py, make(py, i, r), make(py, j, s)).is_zero()
+        ok = supercommutator(make(py, i, r), make(py, j, s)).is_zero()
     elif rel in ("ee-serre", "ff-serre"):
         i, j, r, s, t = kw["i"], kw["j"], kw["r"], kw["s"], kw["t"]
         if abs(i - j) != 1:
             raise ValueError(f"relation {rel} needs |i-j| = 1")
         make = E if rel == "ee-serre" else F
-        lhs = _scomm(py, make(py, i, r), _scomm(py, make(py, i, s), make(py, j, t))) + _scomm(
-            py, make(py, i, s), _scomm(py, make(py, i, r), make(py, j, t))
-        )
+        lhs = supercommutator(
+            make(py, i, r), supercommutator(make(py, i, s), make(py, j, t))
+        ) + supercommutator(make(py, i, s), supercommutator(make(py, i, r), make(py, j, t)))
         ok = lhs.is_zero()
     elif rel in ("ee-super-serre", "ff-super-serre"):
         i, r, s = kw["i"], kw["r"], kw["s"]
@@ -398,17 +394,15 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
             raise ValueError(f"relation {rel} needs |i| + |i+1| = 1")
         if rel == "ee-super-serre":
             mid = py.shift.s(i, i + 1) + 1
-            lhs = _scomm(
-                py,
-                _scomm(py, E(py, i - 1, r), E(py, i, mid)),
-                _scomm(py, E(py, i, mid), E(py, i + 1, s)),
+            lhs = supercommutator(
+                supercommutator(E(py, i - 1, r), E(py, i, mid)),
+                supercommutator(E(py, i, mid), E(py, i + 1, s)),
             )
         else:
             mid = py.shift.s(i + 1, i) + 1
-            lhs = _scomm(
-                py,
-                _scomm(py, F(py, i - 1, r), F(py, i, mid)),
-                _scomm(py, F(py, i, mid), F(py, i + 1, s)),
+            lhs = supercommutator(
+                supercommutator(F(py, i - 1, r), F(py, i, mid)),
+                supercommutator(F(py, i, mid), F(py, i + 1, s)),
             )
         ok = lhs.is_zero()
     else:  # pragma: no cover

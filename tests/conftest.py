@@ -18,6 +18,11 @@ FLAG_SHIFT = [[0, 1, 1], [0, 0, 0], [1, 1, 0]]
 FLAG_ELL = 4
 FLAG_SIGNS = "101"
 
+# four-row pyramid with a super-Serre index; brings the distant relations
+PY4_SHIFT = [[0, 0, 1, 2], [0, 0, 1, 2], [0, 0, 0, 1], [1, 1, 1, 0]]
+PY4_ELL = 4
+PY4_SIGNS = "0101"
+
 # short per-criterion annotations, filled in by the acceptance tests
 ACCEPTANCE_DETAILS: dict[int, str] = {}
 
@@ -25,6 +30,11 @@ ACCEPTANCE_DETAILS: dict[int, str] = {}
 @pytest.fixture(scope="session")
 def gl36():
     return from_shift(FLAG_SHIFT, FLAG_ELL, FLAG_SIGNS)
+
+
+@pytest.fixture(scope="session")
+def py4():
+    return from_shift(PY4_SHIFT, PY4_ELL, PY4_SIGNS)
 
 
 @pytest.fixture(scope="session")

@@ -226,6 +226,13 @@ def test_invalid_inputs(files, capsys, tmp_path):
     )
     assert code == 2
 
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({**PY_DOC, "ell": 4.7}))
+    code, out, err = run(["dims", "--pyramid", str(fractional), "--prime", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "ell must be an integer" in json.loads(err.strip().splitlines()[-1])["message"]
+
 
 def test_console_script(tmp_path):
     # Run the declared `superw` entry the way an installed launcher does:

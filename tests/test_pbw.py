@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from superw.gl import bracket, e, minus, plus
+from superw.gl import bracket, bracket_pair, e, minus, plus
 from superw.pbw import (
+    UEAElement,
     algebra_for,
     evaluate_one_dim,
     from_factors,
@@ -28,6 +29,65 @@ P1, P2, P3 = plus(1), plus(2), plus(3)
 @pytest.fixture(scope="module")
 def alg36(gl36):
     return algebra_for(gl36)
+
+
+def naive_normal_form(alg, words: dict) -> dict:
+    """Straighten {word: coeff} by bubble sort, with no memo: the first
+    adjacent descent x·y is rewritten to +/- y·x + [x,y] until every word
+    is a normal monomial.  An adjacent odd square is dropped, as it is
+    (1/2)[x,x] = 0 in gl(M|N).  Independent of EnvelopingAlgebra's
+    straightening; it only reads the basis order, parities and index."""
+    out: dict = {}
+    todo = dict(words)
+    while todo:
+        word, c = todo.popitem()
+        for k in range(len(word) - 1):
+            x, y = word[k], word[k + 1]
+            if x > y:
+                head, tail = word[:k], word[k + 2:]
+                swapped = -c if alg.parities[x] and alg.parities[y] else c
+                rewrites = [(head + (y, x) + tail, swapped)]
+                for pr, cz in bracket_pair(*alg.pairs[x], *alg.pairs[y]).terms.items():
+                    rewrites.append((head + (alg.index[pr],) + tail, cz * c))
+                for w, cw in rewrites:
+                    todo[w] = todo.get(w, 0) + cw
+                break
+            if x == y and alg.parities[x]:
+                break
+        else:
+            out[word] = out.get(word, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def naive_product(a, b) -> UEAElement:
+    words: dict = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            words[wa + wb] = words.get(wa + wb, 0) + ca * cb
+    return UEAElement(a.algebra, naive_normal_form(a.algebra, words))
+
+
+def naive_supercommutator(a, b) -> UEAElement:
+    """Definition on homogeneous a, b: ab - (-1)^{p(a)p(b)} ba."""
+    sign = -1 if a.parity() and b.parity() else 1
+    return naive_product(a, b) - sign * naive_product(b, a)
+
+
+def random_element(alg, rng, nterms=3, max_degree=3, parity=None) -> UEAElement:
+    """Sum of random normal monomials of degree <= max_degree with int and
+    Fraction coefficients; of one parity when parity is given."""
+    terms: dict = {}
+    while len(terms) < nterms:
+        degree = rng.randint(0, max_degree)
+        mono = tuple(sorted(rng.randrange(len(alg.pairs)) for _ in range(degree)))
+        odd = [i for i in mono if alg.parities[i]]
+        if len(odd) != len(set(odd)):
+            continue  # odd squares vanish: not a normal monomial
+        if parity is not None and alg.mono_parity(mono) != parity:
+            continue
+        terms[mono] = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return UEAElement(alg, terms)
+
 
 
 def test_scalar_and_identity(gl36, alg36):
@@ -60,6 +120,89 @@ def test_product_associativity_sampled(gl36, alg36):
     for _ in range(40):
         x, y, z = (generator(alg36, *rng.choice(pairs)) for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+def test_naive_straightener_reproduces_brackets(gl36, alg36):
+    rng = random.Random(5)
+    pairs = all_pairs(gl36)
+    for _ in range(30):
+        a, b = rng.choice(pairs), rng.choice(pairs)
+        lhs = naive_supercommutator(generator(alg36, *a), generator(alg36, *b))
+        assert lhs == from_lie(alg36, bracket(e(*a), e(*b))), (a, b)
+
+
+@pytest.mark.parametrize("host", ["gl36", "py4"])
+def test_product_matches_naive_straightener(host, request):
+    py = request.getfixturevalue(host)
+    alg = algebra_for(py)
+    rng = random.Random(23)
+    for _ in range(25):
+        a = random_element(alg, rng, nterms=rng.randint(1, 4))
+        b = random_element(alg, rng, nterms=rng.randint(1, 4))
+        assert a * b == naive_product(a, b), (a, b)
+    # mixed parity is exercised, not just homogeneous elements
+    mixed = [random_element(alg, rng, nterms=4) for _ in range(20)]
+    assert any(u.parity() is None for u in mixed)
+
+
+@pytest.mark.parametrize("host", ["gl36", "py4"])
+def test_product_associativity_on_elements(host, request):
+    py = request.getfixturevalue(host)
+    alg = algebra_for(py)
+    rng = random.Random(29)
+    for _ in range(10):
+        x, y, z = (random_element(alg, rng, nterms=3, max_degree=2) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
+
+
+def test_supercommutator_matches_definition(gl36, py4):
+    for py in (gl36, py4):
+        alg = algebra_for(py)
+        rng = random.Random(31)
+        for _ in range(15):
+            pa, pb = rng.randint(0, 1), rng.randint(0, 1)
+            a = random_element(alg, rng, parity=pa)
+            b = random_element(alg, rng, parity=pb)
+            assert supercommutator(a, b) == naive_supercommutator(a, b), (a, b)
+
+
+def test_supercommutator_expands_over_parity_parts(gl36, alg36):
+    rng = random.Random(37)
+    for _ in range(15):
+        a0, a1 = (random_element(alg36, rng, parity=p) for p in (0, 1))
+        b0, b1 = (random_element(alg36, rng, parity=p) for p in (0, 1))
+        a, b = a0 + a1, b0 + b1
+        expected = sum(
+            (naive_supercommutator(ai, bj) for ai in (a0, a1) for bj in (b0, b1)),
+            scalar_element(alg36, 0),
+        )
+        assert supercommutator(a, b) == expected
+
+
+def test_supercommutator_super_antisymmetry(gl36, alg36):
+    rng = random.Random(41)
+    for _ in range(20):
+        pa, pb = rng.randint(0, 1), rng.randint(0, 1)
+        a = random_element(alg36, rng, parity=pa)
+        b = random_element(alg36, rng, parity=pb)
+        sign = -1 if pa and pb else 1
+        assert supercommutator(a, b) == -sign * supercommutator(b, a)
+
+
+def test_supercommutator_super_jacobi_sampled(gl36, alg36):
+    # [a, [b, c]] = [[a, b], c] + (-1)^{p(a)p(b)} [b, [a, c]]
+    rng = random.Random(43)
+    for _ in range(10):
+        pa, pb, pc = (rng.randint(0, 1) for _ in range(3))
+        a, b, c = (
+            random_element(alg36, rng, nterms=2, max_degree=2, parity=p) for p in (pa, pb, pc)
+        )
+        sign = -1 if pa and pb else 1
+        lhs = supercommutator(a, supercommutator(b, c))
+        rhs = supercommutator(supercommutator(a, b), c) + sign * supercommutator(
+            b, supercommutator(a, c)
+        )
+        assert lhs == rhs, (a, b, c)
 
 
 def test_pbw_straightening_reorders_h_pair(gl36, alg36):

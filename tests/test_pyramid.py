@@ -177,6 +177,14 @@ def test_json_round_trip(gl36):
     assert back.boxes == gl36.boxes
 
 
+def test_from_json_rejects_non_integral_ell(gl36):
+    doc = gl36.to_json()
+    assert Pyramid.from_json({**doc, "ell": 4.0}) == gl36
+    for bad in (4.7, True, "4", None):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            Pyramid.from_json({**doc, "ell": bad})
+
+
 def test_enumeration_hand_counts():
     # one box: a single cell; two boxes: a 2-row stack or a 2-column row
     assert len(list(enumerate_shapes(2))) == 3
