@@ -33,7 +33,6 @@ from .onedim import (
 from .pbw import (
     EnvelopingAlgebra,
     UEAElement,
-    algebra_for,
     evaluate_one_dim,
     from_lie,
     generator,
@@ -55,7 +54,6 @@ from .pyramid import (
     good_pair_check,
     graded_basis,
     h_pi,
-    super_stats,
     vertical_adjacent_pairs,
 )
 from .scalars import format_scalar, parse_scalar
@@ -87,6 +85,7 @@ from .yangian import (
     F,
     RELATION_IDS,
     T,
+    algebra_for,
     d_prime,
     higher_E,
     higher_F,

@@ -162,11 +162,6 @@ def basis_indices(M: int, N: int) -> list[BoxIndex]:
     return [plus(k) for k in range(1, M + 1)] + [minus(k) for k in range(1, N + 1)]
 
 
-def basis_pairs(M: int, N: int) -> list[Pair]:
-    idx = basis_indices(M, N)
-    return [(i, j) for i in idx for j in idx]
-
-
 def bracket_pair(i: BoxIndex, j: BoxIndex, k: BoxIndex, l: BoxIndex) -> LieSuperElement:
     """Supercommutator [e_{i,j}, e_{k,l}] of two basis elements."""
     out: dict[Pair, Scalar] = {}

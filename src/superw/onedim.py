@@ -14,11 +14,13 @@ numeric mode).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .pyramid import Pyramid
 from .scalars import format_scalar, is_exact, parse_scalar, scalar_sort_key, scalars_close
 from .tableau import Tableau, is_column_connected
+from .yangian import d_prime_series
 
 Scalar = int | Fraction
 
@@ -97,7 +99,7 @@ class EigenvalueData:
                 full.append(list(row))
                 continue
             prev_row = full[i - 1]
-            dprime = _series_inverse(prev_row, levels[i])
+            dprime = d_prime_series(prev_row + [0] * (levels[i] - len(prev_row)))
             cur = list(row)
             for r in range(len(cur) + 1, levels[i] + 1):
                 acc = 0
@@ -133,20 +135,6 @@ class EigenvalueData:
             doc["levels"],
             [[parse_scalar(v) for v in row] for row in doc["a"]],
         )
-
-
-def _series_inverse(coeffs: Sequence, order: int) -> list:
-    """Inverse of the series 1 + c_1 u^{-1} + ... as a list of length
-    order+1 (index = exponent); input indexed from c_1."""
-    c = list(coeffs) + [0] * max(0, order - len(coeffs))
-    inv = [1] + [0] * order
-    for r in range(1, order + 1):
-        acc = 0
-        for t in range(1, r + 1):
-            if t <= len(c):
-                acc += c[t - 1] * inv[r - t]
-        inv[r] = -acc
-    return inv
 
 
 def eigenvalues_of(A: Tableau) -> EigenvalueData:
@@ -211,7 +199,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             continue
         den = 1
         for c in coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = lcm(den, c.denominator)
         ints = [int(c * den) for c in coeffs]
         lead, const = ints[0], ints[-1]
         found = None
@@ -237,14 +225,14 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return roots
 
 
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
-
-
 def _numeric_roots(coeffs: Sequence, tol: float) -> list[complex]:
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ValueError(
+            "numeric mode needs numpy, which the 'numeric' extra installs: "
+            "pip install 'superw[numeric]'"
+        ) from None
 
     arr = [complex(c) for c in coeffs]
     if len(arr) == 1:
@@ -361,7 +349,7 @@ def quotient_relation_check(a: EigenvalueData, extra: int = 2, tol: float = 0.0)
     for j in range(len(a.levels) - 1):
         pj, pj1 = a.levels[j], a.levels[j + 1]
         bound = pj1 + extra
-        dprime = _series_inverse(list(a.full[j]), bound)
+        dprime = d_prime_series(list(a.full[j]) + [0] * (bound - pj))
         nxt = list(a.full[j + 1])
         for r in range(pj1 - pj + 1, bound + 1):
             acc = 0

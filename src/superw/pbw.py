@@ -13,18 +13,18 @@ Monomials are stored as weakly increasing tuples of basis-pair indices;
 odd indices never repeat (odd squares vanish).  Straightening is the
 rewrite x·y -> +/- y·x + [x,y]: a generator times a normal monomial is
 straightened recursively and memoized per (generator, monomial), the
-only memo the engine keeps.  A product a·b of elements is evaluated by
-Horner's scheme over the last factors of a: with a = sum_x a_x·x, each
-x·b is straightened once and a_x·(x·b) is formed recursively, merging
-terms after every step.  All bracket structure constants are integers,
+only product memo the engine keeps.  A product a·b of elements is
+evaluated by Horner's scheme over the last factors of a: with
+a = sum_x a_x·x, each x·b is straightened once and a_x·(x·b) is formed
+recursively, merging terms after every step.  All bracket structure constants are integers,
 so coefficients stay in int until user scalars introduce Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import groupby
+from typing import Iterable, Mapping
 
 from .gl import (
     BoxIndex,
@@ -47,31 +47,6 @@ def _add_scaled(acc: dict, terms: Mapping[tuple, Scalar], c: Scalar) -> None:
             acc[mono] = v
         elif mono in acc:
             del acc[mono]
-
-
-@dataclass(frozen=True)
-class PBWMonomial:
-    """Public view of a normal monomial: ((basis pair, exponent), ...) in
-    strictly increasing canonical order, odd pairs with exponent 1."""
-
-    factors: tuple[tuple[Pair, int], ...]
-
-    def __post_init__(self):
-        for (_, exp) in self.factors:
-            if exp < 1:
-                raise ValueError("exponents must be positive")
-
-    def total_degree(self) -> int:
-        return sum(exp for _, exp in self.factors)
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        bits = []
-        for (i, j), exp in self.factors:
-            base = f"e({i},{j})"
-            bits.append(base if exp == 1 else f"{base}^{exp}")
-        return "*".join(bits)
 
 
 class EnvelopingAlgebra:
@@ -176,17 +151,6 @@ class EnvelopingAlgebra:
         for idx in mono:
             par ^= self.parities[idx]
         return par
-
-
-_algebras: dict[Pyramid, EnvelopingAlgebra] = {}
-
-
-def algebra_for(py: Pyramid) -> EnvelopingAlgebra:
-    alg = _algebras.get(py)
-    if alg is None:
-        alg = EnvelopingAlgebra(py)
-        _algebras[py] = alg
-    return alg
 
 
 class UEAElement:
@@ -296,34 +260,28 @@ class UEAElement:
         pc = self.algebra.p_count
         return all(idx < pc for mono in self.terms for idx in mono)
 
-    # -- public monomial view ------------------------------------------
-
-    def factored_terms(self) -> Iterator[tuple[PBWMonomial, Scalar]]:
-        for mono in sorted(self.terms):
-            factors = []
-            for idx in mono:
-                pr = self.algebra.pairs[idx]
-                if factors and factors[-1][0] == pr:
-                    factors[-1] = (pr, factors[-1][1] + 1)
-                else:
-                    factors.append((pr, 1))
-            yield PBWMonomial(tuple(factors)), self.terms[mono]
-
     def __str__(self) -> str:
+        """Terms in sorted order, each monomial as e(i,j)^k factors joined by *."""
         if not self.terms:
             return "0"
+        pairs = self.algebra.pairs
         bits = []
-        for mono, c in self.factored_terms():
-            if not mono.factors:
+        for mono in sorted(self.terms):
+            c = self.terms[mono]
+            factors = []
+            for idx, run in groupby(mono):
+                (i, j), k = pairs[idx], len(list(run))
+                factors.append(f"e({i},{j})" if k == 1 else f"e({i},{j})^{k}")
+            word = "*".join(factors)
+            if not word:
                 bits.append(str(c))
             elif c == 1:
-                bits.append(str(mono))
+                bits.append(word)
             elif c == -1:
-                bits.append(f"-{mono}")
+                bits.append(f"-{word}")
             else:
-                bits.append(f"{c}*{mono}")
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
+                bits.append(f"{c}*{word}")
+        return " + ".join(bits).replace("+ -", "- ")
 
     __repr__ = __str__
 
@@ -386,12 +344,17 @@ def supercommutator(a: UEAElement, b: UEAElement) -> UEAElement:
     return UEAElement._raw(alg, acc)
 
 
+def _algebra_over(py: Pyramid, u: UEAElement) -> EnvelopingAlgebra:
+    """The algebra of u, which must be the one built over py."""
+    if u.algebra.pyramid != py:
+        raise ValueError("element was built over a different pyramid")
+    return u.algebra
+
+
 def pr_chi(py: Pyramid, u: UEAElement) -> UEAElement:
     """Project U(g) onto U(p) along the left ideal generated by a - chi(a),
     a in m: u·a = chi(a)·u there, so trailing m-factors strip to chi values."""
-    alg = u.algebra
-    if alg.pyramid != py:
-        raise ValueError("element was built over a different pyramid")
+    alg = _algebra_over(py, u)
     pc = alg.p_count
     chi_vals = alg.chi_values
     acc: dict = {}
@@ -414,8 +377,7 @@ def pr_chi(py: Pyramid, u: UEAElement) -> UEAElement:
     return UEAElement._raw(alg, acc)
 
 
-def _as_m_element(py: Pyramid, a) -> UEAElement:
-    alg = algebra_for(py)
+def _as_m_element(alg: EnvelopingAlgebra, a) -> UEAElement:
     if isinstance(a, UEAElement):
         el = a
     elif isinstance(a, LieSuperElement):
@@ -435,7 +397,7 @@ def twisted_action(py: Pyramid, a, y: UEAElement) -> UEAElement:
     """a . y = pr_chi([a, y]) for a in m, y in U(p)."""
     if not y.in_U_p():
         raise ValueError("y must lie in U(p)")
-    a_el = _as_m_element(py, a)
+    a_el = _as_m_element(_algebra_over(py, y), a)
     return pr_chi(py, supercommutator(a_el, y))
 
 
@@ -443,7 +405,7 @@ def is_W_invariant(py: Pyramid, y: UEAElement) -> bool:
     """True iff y in U(p) is invariant under the chi-twisted m-action."""
     if not y.in_U_p():
         raise ValueError("y must lie in U(p)")
-    alg = algebra_for(py)
+    alg = _algebra_over(py, y)
     for idx in range(alg.p_count, len(alg.pairs)):
         a_el = UEAElement._raw(alg, {(idx,): 1})
         if not pr_chi(py, supercommutator(a_el, y)).is_zero():
@@ -467,9 +429,7 @@ def evaluate_one_dim(py: Pyramid, u: UEAElement, diag, strict: bool = False) -> 
         lam = diag if isinstance(diag, Weight) else Weight({b: diag[b] for b in py.boxes})
         if not is_onedim_h_weight(py, lam):
             raise ValueError("diag does not satisfy the one-dimensionality constraints")
-    alg = u.algebra
-    if alg.pyramid != py:
-        raise ValueError("element was built over a different pyramid")
+    alg = _algebra_over(py, u)
     nd = alg.ndiag
     total: Scalar = 0
     for mono, c in u.terms.items():

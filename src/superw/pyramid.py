@@ -11,7 +11,7 @@ boxes independently the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .gl import (
     BoxIndex,
@@ -73,12 +73,6 @@ class ShiftMatrix:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(list(row)) for row in self.entries) + "]"
-
-
-class SuperStats(NamedTuple):
-    q_check: tuple[int, ...]          # per column, 1-based via index+1
-    row_check: dict                   # BoxIndex -> signed row count through its row
-    row_hat: tuple[int, ...]          # per row
 
 
 class Pyramid:
@@ -237,11 +231,6 @@ def from_shift(shift, ell: int, signs) -> Pyramid:
     if not isinstance(shift, ShiftMatrix):
         shift = ShiftMatrix.from_rows(shift)
     return Pyramid(shift, ell, signs)
-
-
-def super_stats(py: Pyramid) -> SuperStats:
-    row_check = {b: py.row_check(b) for b in py.boxes}
-    return SuperStats(py.q_check, row_check, py.row_hat)
 
 
 def adjacent_pairs(py: Pyramid) -> list[Pair]:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .gl import BoxIndex, parity
 from .pyramid import Pyramid
 from .pbw import (
+    EnvelopingAlgebra,
     UEAElement,
-    algebra_for,
     generator,
     identity,
     scalar_element,
@@ -31,11 +31,13 @@ Scalar = int | Fraction
 
 
 class _Context:
-    """Per-pyramid caches for generator computation."""
+    """The per-pyramid state: the enveloping algebra with its product memo,
+    eta, the boxes of each row in column order, and the memo of T-suffix
+    sums.  One context per pyramid lives for the life of the process."""
 
     def __init__(self, py: Pyramid):
         self.py = py
-        self.alg = algebra_for(py)
+        self.alg = EnvelopingAlgebra(py)
         self.eta = eta_weight(py)
         self.row_boxes: dict[int, list[BoxIndex]] = {
             r: [] for r in range(1, py.nrows + 1)
@@ -44,9 +46,7 @@ class _Context:
             self.row_boxes[py.row(b)].append(b)
         for r in self.row_boxes:
             self.row_boxes[r].sort(key=py.col)
-        self.e_tilde: dict = {}
         self.t_suffix: dict = {}
-        self.t_values: dict = {}
 
 
 _contexts: dict[Pyramid, _Context] = {}
@@ -60,20 +60,20 @@ def _ctx(py: Pyramid) -> _Context:
     return ctx
 
 
-def e_tilde(py: Pyramid, i: BoxIndex, j: BoxIndex) -> UEAElement:
+def algebra_for(py: Pyramid) -> EnvelopingAlgebra:
+    """The enveloping algebra of py; equal pyramids share one algebra."""
+    return _ctx(py).alg
+
+
+def _e_tilde(ctx: _Context, i: BoxIndex, j: BoxIndex) -> UEAElement:
     """(-1)^{col(j)-col(i)} (e_{i,j} + eta(e_{i,j})), defined for pairs in p."""
-    ctx = _ctx(py)
-    key = (i, j)
-    el = ctx.e_tilde.get(key)
-    if el is None:
-        dcol = py.col(j) - py.col(i)
-        if dcol < 0:
-            raise ValueError(f"e({i},{j}) lies outside p")
-        sign = -1 if dcol % 2 else 1
-        el = generator(ctx.alg, i, j, sign)
-        if i == j:
-            el = el + scalar_element(ctx.alg, sign * ctx.eta[i])
-        ctx.e_tilde[key] = el
+    dcol = ctx.py.col(j) - ctx.py.col(i)
+    if dcol < 0:
+        raise ValueError(f"e({i},{j}) lies outside p")
+    sign = -1 if dcol % 2 else 1
+    el = generator(ctx.alg, i, j, sign)
+    if i == j:
+        el = el + scalar_element(ctx.alg, sign * ctx.eta[i])
     return el
 
 
@@ -99,7 +99,7 @@ def _t_suffix(ctx: _Context, j: int, x: int, row: int, lo: int, hi: int, rem: in
                 cost = cb - ca + 1
                 if cost > rem:
                     break
-                factor = e_tilde(py, a, b)
+                factor = _e_tilde(ctx, a, b)
                 if cost == rem:
                     if rb == j:
                         total = total + tp_sign * factor
@@ -125,13 +125,7 @@ def T(py: Pyramid, i: int, j: int, x: int, r: int) -> UEAElement:
         raise ValueError(f"x must lie in 0..{py.nrows}")
     if r < 1:
         raise ValueError("r must be positive")
-    ctx = _ctx(py)
-    key = (i, j, x, r)
-    el = ctx.t_values.get(key)
-    if el is None:
-        el = _t_suffix(ctx, j, x, i, 1, py.ell, r)
-        ctx.t_values[key] = el
-    return el
+    return _t_suffix(_ctx(py), j, x, i, 1, py.ell, r)
 
 
 # -- named generators ---------------------------------------------------
@@ -219,11 +213,7 @@ def d_prime_series(series) -> list:
         one = 1
     out = [one]
     for r in range(1, len(series) + 1):
-        acc = None
-        for t in range(1, r + 1):
-            term = series[t - 1] * out[r - t]
-            acc = term if acc is None else acc + term
-        out.append(-acc)
+        out.append(-sum(series[t - 1] * out[r - t] for t in range(1, r + 1)))
     return out
 
 
@@ -262,13 +252,6 @@ def _norm_rel(rel: str) -> str:
     return rel
 
 
-def _sum_range(terms) -> UEAElement | int:
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def relation_report(py: Pyramid, rel: str, **kw) -> dict:
     """Evaluate one relation instance symbolically in U(p).
 
@@ -289,7 +272,7 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         i, r = kw["i"], kw["r"]
         ds = [D(py, i, t) for t in range(1, r + 1)]
         dp = d_prime_series(ds)
-        lhs = _sum_range(D(py, i, t) * dp[r - t] for t in range(0, r + 1))
+        lhs = sum((D(py, i, t) * dp[r - t] for t in range(0, r + 1)), zero)
         ok = lhs == (identity(alg) if r == 0 else zero)
     elif rel == "dd-comm":
         i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
@@ -301,8 +284,8 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         if coef == 0 or r == 0:
             rhs = zero
         else:
-            rhs = (sgn_row(i) * coef) * _sum_range(
-                D(py, i, t) * _E_raw(py, j, r + s - 1 - t) for t in range(0, r)
+            rhs = (sgn_row(i) * coef) * sum(
+                (D(py, i, t) * _E_raw(py, j, r + s - 1 - t) for t in range(0, r)), zero
             )
         ok = lhs == rhs
     elif rel == "df":
@@ -312,8 +295,8 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         if coef == 0 or r == 0:
             rhs = zero
         else:
-            rhs = (sgn_row(i) * coef) * _sum_range(
-                _F_raw(py, j, r + s - 1 - t) * D(py, i, t) for t in range(0, r)
+            rhs = (sgn_row(i) * coef) * sum(
+                (_F_raw(py, j, r + s - 1 - t) * D(py, i, t) for t in range(0, r)), zero
             )
         ok = lhs == rhs
     elif rel == "ef":
@@ -325,9 +308,7 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
             top = r + s - 1
             dp = d_prime_series([D(py, i, t) for t in range(1, top + 1)])
             sign = -sgn_row(i + 1)
-            rhs = sign * _sum_range(
-                dp[top - t] * D(py, i + 1, t) for t in range(0, top + 1)
-            )
+            rhs = sign * sum((dp[top - t] * D(py, i + 1, t) for t in range(0, top + 1)), zero)
         ok = lhs == rhs
     elif rel == "ee-same":
         i, r, s = kw["i"], kw["r"], kw["s"]
@@ -335,7 +316,7 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         lhs = supercommutator(E(py, i, r), E(py, i, s))
         pieces = [_E_raw(py, i, r + s - 1 - t) * _E_raw(py, i, t) for t in range(lo, s)]
         pieces += [-(_E_raw(py, i, r + s - 1 - t) * _E_raw(py, i, t)) for t in range(lo, r)]
-        rhs = sgn_row(i + 1) * (_sum_range(pieces) if pieces else zero)
+        rhs = sgn_row(i + 1) * sum(pieces, zero)
         ok = lhs == rhs
     elif rel == "ff-same":
         i, r, s = kw["i"], kw["r"], kw["s"]
@@ -344,7 +325,7 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         def rhs_from(lo: int) -> UEAElement:
             pieces = [_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t) for t in range(lo, r)]
             pieces += [-(_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t)) for t in range(lo, s)]
-            return sgn_row(i) * (_sum_range(pieces) if pieces else zero)
+            return sgn_row(i) * sum(pieces, zero)
 
         shift = py.shift.s(i + 1, i)
         ok = lhs == rhs_from(shift + 1)

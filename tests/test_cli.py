@@ -190,6 +190,19 @@ def test_solve_non_split(files, capsys):
     assert "round_trip=ok" in out
 
 
+def test_solve_numeric_without_numpy(files, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, _, err = run(
+        ["solve", "--pyramid", files["py.json"], "--eigenvalues",
+         files["nonsplit.json"], "--numeric"],
+        capsys,
+    )
+    assert code == 2
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input"
+    assert "superw[numeric]" in doc["message"]
+
+
 def test_dims_verb(files, capsys):
     code, out, _ = run(["dims", "--pyramid", files["py.json"], "--prime", "5"], capsys)
     assert code == 0

@@ -1,6 +1,7 @@
 """Eigenvalue data, factorization solvers, and the symbolic module check."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,12 @@ def test_solve_b_non_split():
 def test_solve_b_numeric_mode():
     roots = solve_b("0", (2,), [[0, 1]], mode="numeric")[0]
     assert sorted(round(abs(complex(z).imag), 6) for z in roots) == [1.0, 1.0]
+
+
+def test_numeric_mode_without_numpy_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ValueError, match=r"superw\[numeric\]"):
+        solve_b("0", (2,), [[0, 1]], mode="numeric")
 
 
 def test_solve_b_shifted_round_trip(gl36, worked_tableau):

@@ -9,7 +9,6 @@ import pytest
 from superw.gl import bracket, bracket_pair, e, minus, plus
 from superw.pbw import (
     UEAElement,
-    algebra_for,
     evaluate_one_dim,
     from_factors,
     from_lie,
@@ -22,6 +21,7 @@ from superw.pbw import (
     twisted_action,
 )
 from superw.pyramid import all_pairs, from_shift
+from superw.yangian import algebra_for
 
 P1, P2, P3 = plus(1), plus(2), plus(3)
 

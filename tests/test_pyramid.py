@@ -18,7 +18,6 @@ from superw.pyramid import (
     graded_basis,
     h_pi,
     odd_generator_rows,
-    super_stats,
     vertical_adjacent_pairs,
 )
 from superw.pyramid import Pyramid
@@ -141,13 +140,6 @@ def test_vertical_adjacencies(gl36):
 
 def test_odd_generator_rows(gl36):
     assert odd_generator_rows(gl36) == {1, 2}
-
-
-def test_super_stats_matches_attributes(gl36):
-    st = super_stats(gl36)
-    assert st.q_check == gl36.q_check
-    assert st.row_hat == gl36.row_hat
-    assert st.row_check == {b: gl36.row_check(b) for b in gl36.boxes}
 
 
 def test_shift_matrix():

@@ -1,16 +1,20 @@
 """Generator formulas, relation verification, and truncation on gl(3|6)."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from superw.gl import e, minus, plus
-from superw.pbw import algebra_for, from_lie, identity, is_W_invariant, scalar_element
-from superw.pyramid import from_shift
+from superw.pbw import from_lie, identity, is_W_invariant, scalar_element
+from superw.pyramid import Pyramid, from_shift
 from superw.yangian import (
     D,
     E,
     F,
     RELATION_IDS,
     T,
+    algebra_for,
     d_prime,
     d_prime_series,
     generator_parity,
@@ -75,6 +79,24 @@ def test_d_prime_series_scalars():
     assert d_prime_series([2, 1]) == [1, -2, 3]
     assert d_prime([2, 1]) == 3
     assert d_prime_series([]) == [1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_d_prime_series_inverts_padded_series(seed):
+    # a row padded with zeros past its length, as the eigenvalue solver
+    # and the quotient-relation check pass it
+    rng = random.Random(seed)
+    for scalar in (int, lambda v: Fraction(v, rng.randint(1, 9))):
+        coeffs = [scalar(rng.randint(-9, 9)) for _ in range(rng.randint(0, 4))]
+        order = len(coeffs) + rng.randint(1, 4)
+        c = [1] + coeffs + [0] * (order - len(coeffs))
+        inv = d_prime_series(c[1:])
+        assert len(inv) == order + 1 and inv[0] == 1
+        for r in range(1, order + 1):
+            assert sum(c[t] * inv[r - t] for t in range(r + 1)) == 0
+    # closed form: (1 + a u^{-1})^{-1} = sum_k (-a)^k u^{-k}
+    a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    assert d_prime_series([a, 0, 0, 0]) == [(-a) ** k for k in range(5)]
 
 
 def test_d_prime_inverts_generators(gl36, alg36):
@@ -152,6 +174,22 @@ def test_truncation(gl36, alg36):
         truncation_vanishing(gl36, 2)  # below the top-row length bound
     assert not T(gl36, 1, 1, 0, 2).is_zero()
     assert T(gl36, 1, 1, 0, 3).is_zero()
+
+
+def test_one_algebra_per_pyramid(gl36):
+    twin = Pyramid.from_json(gl36.to_json())
+    assert twin is not gl36
+    assert algebra_for(twin) is algebra_for(gl36)
+    assert D(gl36, 1, 1).algebra is algebra_for(gl36)
+
+
+def test_invariance_rejects_element_of_another_pyramid(gl36, py4):
+    y = D(gl36, 3, 2)
+    # a single box has an empty m, so no commutator would reach the check
+    single = from_shift([[0]], 1, "0")
+    for py in (single, py4):
+        with pytest.raises(ValueError, match="different pyramid"):
+            is_W_invariant(py, y)
 
 
 def test_higher_root_elements(gl36):
