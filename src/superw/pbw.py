@@ -11,13 +11,16 @@ fail to be invariant.)
 
 Monomials are stored as weakly increasing tuples of basis-pair indices;
 odd indices never repeat (odd squares vanish).  Straightening is the
-rewrite x·y -> +/- y·x + [x,y]: a generator times a normal monomial is
-straightened recursively and memoized per (generator, monomial), the
-only product memo the engine keeps.  A product a·b of elements is
-evaluated by Horner's scheme over the last factors of a: with
-a = sum_x a_x·x, each x·b is straightened once and a_x·(x·b) is formed
-recursively, merging terms after every step.  All bracket structure constants are integers,
-so coefficients stay in int until user scalars introduce Fractions.
+rewrite x·y -> +/- y·x + [x,y].  A generator x times a normal monomial
+is either already normal, or an odd square, or a word with x above the
+first factor; only the last kind is straightened recursively.  Its normal
+form is memoized under the word (x,) + monomial as an immutable tuple of
+(monomial, coefficient) pairs: the only product memo the engine keeps.
+A product a·b of elements is evaluated by Horner's scheme over the last
+factors of a: with a = sum_x a_x·x, each x·b is straightened once and
+a_x·(x·b) is formed recursively, merging terms after every step.  All
+bracket structure constants are integers, so coefficients stay in int
+until user scalars introduce Fractions.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from .gl import e as lie_e
 Scalar = int | Fraction
 
 
-def _add_scaled(acc: dict, terms: Mapping[tuple, Scalar], c: Scalar) -> None:
-    """acc += c·terms in place, dropping coefficients that cancel to 0."""
-    for mono, cm in terms.items():
+def _add_scaled(acc: dict, terms: Iterable[tuple[tuple, Scalar]], c: Scalar) -> None:
+    """acc += c·terms in place for (monomial, coefficient) pairs, dropping
+    coefficients that cancel to 0."""
+    for mono, cm in terms:
         v = acc.get(mono, 0) + c * cm
         if v:
             acc[mono] = v
@@ -90,36 +94,43 @@ class EnvelopingAlgebra:
 
     # -- straightening --------------------------------------------------
 
-    def _gen_times_mono(self, x: int, mono: tuple) -> dict:
-        """Normal form of generator x times normal monomial mono.
+    def _gen_times_mono(self, x: int, mono: tuple, c: Scalar, acc: dict) -> None:
+        """acc += c·x·mono for generator x and normal monomial mono.
 
-        Results are memoized per (x, mono); this is the engine's only
-        product memo.  Returned dicts live in the memo table; callers must
-        not mutate them.
+        A word x·mono that is already normal (mono empty, x < mono[0], or
+        x == mono[0] with x even) is added directly, and an odd square adds
+        nothing; neither reaches the memo.  A word with x > mono[0] is
+        straightened recursively and its normal form is memoized under the
+        word (x,) + mono as the immutable tuple of (monomial, coefficient)
+        pairs.  This is the engine's only product memo.
         """
-        key = (x, mono)
-        hit = self._gen_memo.get(key)
-        if hit is not None:
-            return hit
-        if not mono:
-            res = {(x,): 1}
-        else:
+        if mono:
             y = mono[0]
-            if x < y:
-                res = {(x,) + mono: 1}
-            elif x == y:
-                res = {} if self.parities[x] else {(x,) + mono: 1}
-            else:
-                rest = mono[1:]
-                sgn = -1 if (self.parities[x] and self.parities[y]) else 1
-                acc: dict = {}
-                for sub, c in self._gen_times_mono(x, rest).items():
-                    _add_scaled(acc, self._gen_times_mono(y, sub), sgn * c)
-                for z, cz in self._bracket_idx(x, y):
-                    _add_scaled(acc, self._gen_times_mono(z, rest), cz)
-                res = acc
-        self._gen_memo[key] = res
-        return res
+            if x > y:
+                word = (x,) + mono
+                res = self._gen_memo.get(word)
+                if res is None:
+                    rest = mono[1:]
+                    sgn = -1 if (self.parities[x] and self.parities[y]) else 1
+                    x_rest: dict = {}
+                    self._gen_times_mono(x, rest, 1, x_rest)
+                    out: dict = {}
+                    for sub, cs in x_rest.items():
+                        self._gen_times_mono(y, sub, sgn * cs, out)
+                    for z, cz in self._bracket_idx(x, y):
+                        self._gen_times_mono(z, rest, cz, out)
+                    res = tuple(out.items())
+                    self._gen_memo[word] = res
+                _add_scaled(acc, res, c)
+                return
+            if x == y and self.parities[x]:
+                return
+        word = (x,) + mono
+        v = acc.get(word, 0) + c
+        if v:
+            acc[word] = v
+        elif word in acc:
+            del acc[word]
 
     def _times(self, a: dict, b: dict, acc: dict | None = None) -> dict:
         """Normal form of a·b for term dicts a and b (not mutated), added
@@ -127,8 +138,8 @@ class EnvelopingAlgebra:
 
         Horner's scheme over the suffix trie of a: the terms of a are
         grouped by their last factor x, so a = sum_x a_x·x + a_0 with a_0
-        scalar; x·b is straightened once per group and then multiplied on
-        the left by the prefixes a_x.
+        scalar; x·b is straightened once per group, one kernel call per term
+        of b, and then multiplied on the left by the prefixes a_x.
         """
         if acc is None:
             acc = {}
@@ -137,11 +148,11 @@ class EnvelopingAlgebra:
             if mono:
                 groups.setdefault(mono[-1], {})[mono[:-1]] = c
             else:
-                _add_scaled(acc, b, c)
+                _add_scaled(acc, b.items(), c)
         for x, prefixes in groups.items():
             xb: dict = {}
             for mono, c in b.items():
-                _add_scaled(xb, self._gen_times_mono(x, mono), c)
+                self._gen_times_mono(x, mono, c, xb)
             if xb:
                 self._times(prefixes, xb, acc)
         return acc
@@ -162,7 +173,7 @@ class UEAElement:
         self.algebra = algebra
         data: dict[tuple, Scalar] = {}
         if terms:
-            _add_scaled(data, terms, 1)
+            _add_scaled(data, terms.items(), 1)
         self.terms = data
 
     # -- constructors ---------------------------------------------------
@@ -185,7 +196,7 @@ class UEAElement:
             other = scalar_element(self.algebra, other)
         self._check_same(other)
         data = dict(self.terms)
-        _add_scaled(data, other.terms, 1)
+        _add_scaled(data, other.terms.items(), 1)
         return UEAElement._raw(self.algebra, data)
 
     __radd__ = __add__

@@ -33,7 +33,7 @@ Scalar = int | Fraction
 class _Context:
     """The per-pyramid state: the enveloping algebra with its product memo,
     eta, the boxes of each row in column order, and the memo of T-suffix
-    sums.  One context per pyramid lives for the life of the process."""
+    sums.  One context per pyramid lives until clear() drops it."""
 
     def __init__(self, py: Pyramid):
         self.py = py
@@ -63,6 +63,16 @@ def _ctx(py: Pyramid) -> _Context:
 def algebra_for(py: Pyramid) -> EnvelopingAlgebra:
     """The enveloping algebra of py; equal pyramids share one algebra."""
     return _ctx(py).alg
+
+
+def clear() -> None:
+    """Drop every per-pyramid context, with its algebra, product memo and
+    T-suffix memo, so their memory can be freed.
+
+    Elements built before the call belong to a dropped algebra: mixing them
+    with elements built after it raises ValueError.
+    """
+    _contexts.clear()
 
 
 def _e_tilde(ctx: _Context, i: BoxIndex, j: BoxIndex) -> UEAElement:
@@ -361,9 +371,12 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         if abs(i - j) != 1:
             raise ValueError(f"relation {rel} needs |i-j| = 1")
         make = E if rel == "ee-serre" else F
-        lhs = supercommutator(
-            make(py, i, r), supercommutator(make(py, i, s), make(py, j, t))
-        ) + supercommutator(make(py, i, s), supercommutator(make(py, i, r), make(py, j, t)))
+        lhs = supercommutator(make(py, i, r), supercommutator(make(py, i, s), make(py, j, t)))
+        # with r == s the two summands coincide, and 2X = 0 iff X = 0 over Q
+        if r != s:
+            lhs = lhs + supercommutator(
+                make(py, i, s), supercommutator(make(py, i, r), make(py, j, t))
+            )
         ok = lhs.is_zero()
     elif rel in ("ee-super-serre", "ff-super-serre"):
         i, r, s = kw["i"], kw["r"], kw["s"]

@@ -20,6 +20,7 @@ from superw.gl import (
     rational_rank,
     superform,
 )
+from superw.pyramid import e_pi, enumerate_pyramids
 
 P1, P2 = plus(1), plus(2)
 M1 = minus(1)
@@ -143,3 +144,27 @@ def test_rational_rank():
     assert rational_rank([[Fraction(1, 2), 0], [0, 3]]) == 2
     assert rational_rank([[0, 0], [0, 0]]) == 0
     assert rational_rank([]) == 0
+
+
+def closed_form_codims(py) -> tuple[int, int]:
+    """(d0, d1) from the rows alone: the Jordan blocks of e_pi are the rows,
+    so dim z = sum over ordered row pairs of min(p_i, p_j), split by parity."""
+    same = mixed = 0
+    for i in range(1, py.nrows + 1):
+        for j in range(1, py.nrows + 1):
+            k = min(py.p[i - 1], py.p[j - 1])
+            if py.row_sign(i) == py.row_sign(j):
+                same += k
+            else:
+                mixed += k
+    return py.M ** 2 + py.N ** 2 - same, 2 * py.M * py.N - mixed
+
+
+def test_centralizer_dims_match_closed_form(gl36):
+    count = 0
+    for py in enumerate_pyramids(6):
+        assert centralizer_dims(e_pi(py), py.M, py.N) == closed_form_codims(py), py
+        count += 1
+    assert count > 500
+    assert closed_form_codims(gl36) == (32, 26)
+    assert centralizer_dims(e_pi(gl36), gl36.M, gl36.N) == (32, 26)

@@ -8,6 +8,7 @@ import pytest
 
 from superw.gl import bracket, bracket_pair, e, minus, plus
 from superw.pbw import (
+    EnvelopingAlgebra,
     UEAElement,
     evaluate_one_dim,
     from_factors,
@@ -89,6 +90,10 @@ def random_element(alg, rng, nterms=3, max_degree=3, parity=None) -> UEAElement:
     return UEAElement(alg, terms)
 
 
+def is_normal(alg, mono) -> bool:
+    """Weakly increasing, with no odd index repeated."""
+    return all(x < y or (x == y and not alg.parities[x]) for x, y in zip(mono, mono[1:]))
+
 
 def test_scalar_and_identity(gl36, alg36):
     one = identity(alg36)
@@ -143,6 +148,43 @@ def test_product_matches_naive_straightener(host, request):
     # mixed parity is exercised, not just homogeneous elements
     mixed = [random_element(alg, rng, nterms=4) for _ in range(20)]
     assert any(u.parity() is None for u in mixed)
+
+
+@pytest.mark.parametrize("host", ["gl36", "py4"])
+def test_product_memo_holds_only_straightened_words(host, request):
+    py = request.getfixturevalue(host)
+    alg = algebra_for(py)
+    rng = random.Random(47)
+    for _ in range(25):
+        random_element(alg, rng, nterms=3) * random_element(alg, rng, nterms=3)
+    assert alg._gen_memo
+    for word, value in alg._gen_memo.items():
+        # a word is memoized only when its generator sits above the monomial
+        assert len(word) >= 2 and word[0] > word[1], word
+        assert is_normal(alg, word[1:]), word
+        assert isinstance(value, tuple), word
+        for mono, c in value:
+            assert is_normal(alg, mono), (word, mono)
+            assert isinstance(c, (int, Fraction)) and c != 0, (word, c)
+
+
+@pytest.mark.parametrize("host", ["gl36", "py4"])
+def test_cold_and_warm_memo_agree(host, request):
+    py = request.getfixturevalue(host)
+    warm = algebra_for(py)
+    cold = EnvelopingAlgebra(py)
+    assert cold.pairs == warm.pairs and not cold._gen_memo
+    rng = random.Random(53)
+    cases = [
+        tuple(random_element(warm, rng, nterms=rng.randint(1, 4)) for _ in range(2))
+        for _ in range(15)
+    ]
+    for a, b in cases:
+        a * b  # memoizes every word these products straighten
+    for a, b in cases:
+        expected = naive_product(a, b).terms
+        assert (a * b).terms == expected, (a, b)
+        assert (UEAElement(cold, a.terms) * UEAElement(cold, b.terms)).terms == expected, (a, b)
 
 
 @pytest.mark.parametrize("host", ["gl36", "py4"])

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from superw import yangian
 from superw.gl import e, minus, plus
-from superw.pbw import from_lie, identity, is_W_invariant, scalar_element
+from superw.pbw import from_lie, identity, is_W_invariant, scalar_element, supercommutator
 from superw.pyramid import Pyramid, from_shift
 from superw.yangian import (
     D,
@@ -174,6 +175,37 @@ def test_truncation(gl36, alg36):
         truncation_vanishing(gl36, 2)  # below the top-row length bound
     assert not T(gl36, 1, 1, 0, 2).is_zero()
     assert T(gl36, 1, 1, 0, 3).is_zero()
+
+
+def test_serre_equal_levels_single_summand_vanishes(py4):
+    # with r == s the verifier forms [X_i^r, [X_i^r, X_j^t]] once: the two
+    # summands of the Serre identity are the same element
+    count = 0
+    for rel, kw in iter_relation_instances(py4, 3):
+        if rel not in ("ee-serre", "ff-serre") or kw["r"] != kw["s"]:
+            continue
+        make = E if rel == "ee-serre" else F
+        x = make(py4, kw["i"], kw["r"])
+        assert supercommutator(x, supercommutator(x, make(py4, kw["j"], kw["t"]))).is_zero(), kw
+        assert relation_report(py4, rel, **kw)["ok"] is True, kw
+        count += 1
+    assert count > 0
+
+
+def test_clear_drops_per_pyramid_state(gl36, monkeypatch):
+    monkeypatch.setattr(yangian, "_contexts", {})
+    old_alg = algebra_for(gl36)
+    old = {(i, r): D(gl36, i, r) for i in (1, 2, 3) for r in (1, 2, 3)}
+    yangian.clear()
+    assert not yangian._contexts
+    new_alg = algebra_for(gl36)
+    assert new_alg is not old_alg
+    for (i, r), el in old.items():
+        assert D(gl36, i, r).terms == el.terms
+    stale, fresh = old[(2, 2)], D(gl36, 2, 2)
+    for mix in (lambda: stale + fresh, lambda: stale * fresh, lambda: supercommutator(stale, fresh)):
+        with pytest.raises(ValueError, match="different algebras"):
+            mix()
 
 
 def test_one_algebra_per_pyramid(gl36):
