@@ -7,7 +7,8 @@ pool), solve (inverse eigenvalue problem), dims (centralizer codimensions
 and minimal dimension).
 
 Exit codes: 0 ok, 1 usage, 2 invalid input, 3 verification failure,
-4 non-split polynomial in exact mode.  Errors go to stderr as one JSON
+4 eigenvalue data that does not split over the rationals (the message
+gives the exact factor left over).  Errors go to stderr as one JSON
 object per line; --json switches stdout to a single JSON document.
 """
 
@@ -26,7 +27,7 @@ from .onedim import (
 )
 from .pbw import is_W_invariant
 from .pyramid import Pyramid, ShiftMatrix, e_pi, good_pair_check, h_pi
-from .scalars import format_scalar, is_exact, parse_scalar, scalars_close
+from .scalars import format_scalar, parse_scalar
 from .tableau import Tableau, classify, is_column_connected
 from .yangian import (
     D,
@@ -76,20 +77,6 @@ def _tableau_from_file(path: str) -> Tableau:
     if not isinstance(doc, dict) or not {"pyramid", "rows"} <= set(doc):
         raise ValueError(f"{path} must hold an object with pyramid, rows")
     return Tableau.from_json(doc)
-
-
-def _fmt_value(v) -> str:
-    if is_exact(v):
-        return format_scalar(v)
-    z = complex(v)
-    return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
-def _json_value(v):
-    if is_exact(v):
-        return format_scalar(v)
-    z = complex(v)
-    return {"re": z.real, "im": z.imag}
 
 
 def _emit(args, lines: list[str], doc: dict) -> None:
@@ -187,6 +174,8 @@ def _relation_line(report: dict) -> str:
 
 def cmd_wgen_verify(args) -> int:
     py = _pyramid_from_file(args.pyramid)
+    if args.max_level < 1:
+        raise ValueError("--max-level must be at least 1")
     suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     unknown = set(suites) - {"relations", "membership", "truncation"}
     if unknown:
@@ -251,7 +240,7 @@ def cmd_module_eval(args) -> int:
     data = eigenvalues_of(A)
     lines = [f"column_connected={str(cc).lower()}"]
     for i, row in enumerate(data.full, start=1):
-        lines.append(f"a[{i}]=" + ",".join(_fmt_value(v) for v in row))
+        lines.append(f"a[{i}]=" + ",".join(format_scalar(v) for v in row))
     symbolic = None
     if cc:
         symbolic = symbolic_module_check(A)
@@ -260,11 +249,7 @@ def cmd_module_eval(args) -> int:
         lines.append("symbolic=skipped")
     doc = {
         "column_connected": cc,
-        "eigenvalues": data.to_json() if all(is_exact(v) for r in data.full for v in r) else {
-            "signs": data.signs,
-            "levels": list(data.levels),
-            "a": [[_json_value(v) for v in row] for row in data.full],
-        },
+        "eigenvalues": data.to_json(),
         "symbolic": symbolic,
     }
     _emit(args, lines, doc)
@@ -307,27 +292,19 @@ def cmd_solve(args) -> int:
     if not isinstance(doc_in, dict) or "a" not in doc_in:
         raise ValueError("--eigenvalues file must hold an object with key a")
     reduced = [[parse_scalar(v) for v in row] for row in doc_in["a"]]
-    mode = "numeric" if args.numeric else "exact"
-    A = tableau_from_eigenvalues(py, reduced, mode=mode, tol=args.tol)
-    cc = is_column_connected(A, tol=args.tol)
-    back = eigenvalues_of(A).reduced
-    if mode == "exact":
-        round_trip = [list(r) for r in back] == reduced
-    else:
-        round_trip = all(
-            len(br) == len(rr) and all(scalars_close(x, y, args.tol) for x, y in zip(br, rr))
-            for br, rr in zip(back, reduced)
-        ) and len(back) == len(reduced)
+    A = tableau_from_eigenvalues(py, reduced)
+    cc = is_column_connected(A)
+    round_trip = [list(r) for r in eigenvalues_of(A).reduced] == reduced
 
     lines = []
     for i, row in enumerate(A.rows(), start=1):
-        lines.append(f"row[{i}]=" + ",".join(_fmt_value(v) for v in row))
+        lines.append(f"row[{i}]=" + ",".join(format_scalar(v) for v in row))
     lines.append(f"column_connected={str(cc).lower()}")
     lines.append(f"round_trip={_verdict(round_trip)}")
     doc = {
         "pyramid": py.to_json(),
-        "mode": mode,
-        "rows": [[_json_value(v) for v in row] for row in A.rows()],
+        "mode": "exact",
+        "rows": [[format_scalar(v) for v in row] for row in A.rows()],
         "column_connected": cc,
         "round_trip": round_trip,
     }
@@ -400,8 +377,6 @@ def build_parser() -> _Parser:
     p = add("solve", cmd_solve, help="solve the inverse eigenvalue problem")
     p.add_argument("--pyramid", required=True, help="JSON file {shift, ell, signs}")
     p.add_argument("--eigenvalues", required=True, help="JSON file {a: [[...]]} (reduced)")
-    p.add_argument("--numeric", action="store_true", help="allow numeric roots")
-    p.add_argument("--tol", type=float, default=1e-10, help="numeric tolerance")
 
     p = add("dims", cmd_dims, help="centralizer codimensions and minimal dimension")
     p.add_argument("--pyramid", required=True, help="JSON file {shift, ell, signs}")

@@ -7,8 +7,9 @@ D_i^{(r)} eigenvalue (-1)^{r|i|} e_r of the row-i entries shifted by
 rhat(i) this collapses to e_r(b_i) = a_i^{(r)}, which is what the solver
 inverts: a triangular solve for the elementary symmetric functions of the
 new values of each row, then factorization of the resulting monic
-polynomial into linear factors (exact rational roots, or numpy in
-numeric mode).
+polynomial into rational linear factors.  Data whose polynomial does
+not split over the rationals raises NonSplitError naming the exact
+factor left over.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import lcm
 from typing import Sequence
 
 from .pyramid import Pyramid
-from .scalars import format_scalar, is_exact, parse_scalar, scalar_sort_key, scalars_close
+from .scalars import format_scalar, parse_scalar
 from .tableau import Tableau, is_column_connected
 from .yangian import d_prime_series
 
@@ -26,7 +27,7 @@ Scalar = int | Fraction
 
 
 class NonSplitError(ValueError):
-    """Raised in exact mode when a row polynomial has no rational root."""
+    """Raised when a row polynomial does not split over the rationals."""
 
 
 def elementary_symmetric(r: int, values: Sequence) -> Scalar:
@@ -225,36 +226,6 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return roots
 
 
-def _numeric_roots(coeffs: Sequence, tol: float) -> list[complex]:
-    try:
-        import numpy as np
-    except ImportError:
-        raise ValueError(
-            "numeric mode needs numpy, which the 'numeric' extra installs: "
-            "pip install 'superw[numeric]'"
-        ) from None
-
-    arr = [complex(c) for c in coeffs]
-    if len(arr) == 1:
-        return []
-    roots = np.roots(arr)
-    out = []
-    for z in roots:
-        z = complex(z)
-        if abs(_poly_eval(arr, z)) > tol * max(1.0, max(abs(c) for c in arr)):
-            raise ValueError(f"numeric root {z} exceeds the residual tolerance")
-        out.append(z)
-    return out
-
-
-def _roots_of_monic(coeffs: list, mode: str, tol: float) -> list:
-    if mode == "exact":
-        return _rational_roots(coeffs)
-    if mode == "numeric":
-        return _numeric_roots(coeffs, tol)
-    raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'numeric'")
-
-
 # -- the inverse problem ------------------------------------------------
 
 
@@ -266,7 +237,7 @@ def _as_reduced_rows(signs: str, levels: Sequence[int], a) -> list[list]:
     return [list(row) for row in a]
 
 
-def _solve_new_values(reduced_row: Sequence, inherited: Sequence, mode: str, tol: float) -> list:
+def _solve_new_values(reduced_row: Sequence, inherited: Sequence) -> list:
     """Values n_1..n_k with e_r(n ∪ inherited) = a^{(r)} for r = 1..k."""
     k = len(reduced_row)
     e_new = [1]
@@ -282,11 +253,10 @@ def _solve_new_values(reduced_row: Sequence, inherited: Sequence, mode: str, tol
     coeffs = [1]
     for r in range(1, k + 1):
         coeffs.append(e_new[r] if r % 2 == 0 else -e_new[r])
-    roots = _roots_of_monic(coeffs, mode, tol)
-    return sorted(roots, key=scalar_sort_key)
+    return sorted(_rational_roots(coeffs))
 
 
-def solve_b(signs: str, levels: Sequence[int], a, mode: str = "exact", tol: float = 1e-10) -> list[list]:
+def solve_b(signs: str, levels: Sequence[int], a) -> list[list]:
     """Recover b_{i,j} from reduced eigenvalue data, inherited values
     aligned at the row tails: b_{i, (p_i - p_{i-1}) + r} = b_{i-1, r}."""
     signs = "".join(signs)
@@ -295,7 +265,7 @@ def solve_b(signs: str, levels: Sequence[int], a, mode: str = "exact", tol: floa
     rows: list[list] = []
     prev: list = []
     for i, red in enumerate(reduced):
-        new = _solve_new_values(red, prev, mode, tol)
+        new = _solve_new_values(red, prev)
         cur = new + prev
         if len(cur) != levels[i]:
             raise AssertionError("row length bookkeeping failed")
@@ -304,14 +274,14 @@ def solve_b(signs: str, levels: Sequence[int], a, mode: str = "exact", tol: floa
     return rows
 
 
-def solve_b_shifted(py: Pyramid, a, mode: str = "exact", tol: float = 1e-10) -> list[list]:
+def solve_b_shifted(py: Pyramid, a) -> list[list]:
     """As solve_b, but inherited values occupy positions s_{i,i-1}+1 ..
     s_{i,i-1}+p_{i-1}, mirroring the column alignment of the pyramid."""
     reduced = _as_reduced_rows(py.signs, py.p, a)
     rows: list[list] = []
     prev: list = []
     for i, red in enumerate(reduced, start=1):
-        new = _solve_new_values(red, prev, mode, tol)
+        new = _solve_new_values(red, prev)
         if i == 1:
             cur = list(new)
         else:
@@ -327,23 +297,23 @@ def solve_b_shifted(py: Pyramid, a, mode: str = "exact", tol: float = 1e-10) -> 
     return rows
 
 
-def tableau_from_eigenvalues(py: Pyramid, a, mode: str = "exact", tol: float = 1e-10) -> Tableau:
+def tableau_from_eigenvalues(py: Pyramid, a) -> Tableau:
     """The column-connected tableau realizing the given reduced data:
     entries a_{i,j} = (-1)^{|i|}(b_{i,j} - rhat(i)) with b from the
     shifted solver."""
-    b = solve_b_shifted(py, a, mode, tol)
+    b = solve_b_shifted(py, a)
     rows = []
     for i in range(1, py.nrows + 1):
         sgn = -1 if py.row_sign(i) else 1
         rhat = py.row_hat[i - 1]
         rows.append([sgn * (v - rhat) for v in b[i - 1]])
     A = Tableau.from_rows(py, rows)
-    if all(is_exact(v) for row in rows for v in row) and not is_column_connected(A):
+    if not is_column_connected(A):
         raise AssertionError("constructed tableau is not column-connected")
     return A
 
 
-def quotient_relation_check(a: EigenvalueData, extra: int = 2, tol: float = 0.0) -> bool:
+def quotient_relation_check(a: EigenvalueData, extra: int = 2) -> bool:
     """The series quotient a_{j+1}(u)/a_j(u) must be polynomial of degree
     at most p_{j+1} - p_j: its coefficients beyond that vanish."""
     for j in range(len(a.levels) - 1):
@@ -361,10 +331,7 @@ def quotient_relation_check(a: EigenvalueData, extra: int = 2, tol: float = 0.0)
                 else:
                     continue
                 acc += dprime[r - t] * a_t
-            if tol:
-                if not scalars_close(acc, 0, tol):
-                    return False
-            elif acc != 0:
+            if acc != 0:
                 return False
     return True
 
@@ -396,7 +363,7 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
     dead: set = set()
 
     def state_key(pos: int):
-        return (pos, tuple(tuple(sorted(c.items(), key=lambda kv: scalar_sort_key(kv[0]))) for c in counts))
+        return (pos, tuple(tuple(sorted(c.items())) for c in counts))
 
     assignment: dict = {}
 

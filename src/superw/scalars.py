@@ -1,16 +1,11 @@
-"""Shared helpers for the two coefficient modes.
+"""Exact scalars: every coefficient is an int or a Fraction.
 
-Exact mode works in Fraction/int; numeric mode admits float/complex (used
-only where polynomial root extraction may leave the rationals).  Parsing
-and formatting use the "p/q" string form so JSON stays exact.
+Parsing and formatting use the "p/q" string form so JSON stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Exact = int | Fraction
-Numeric = int | Fraction | float | complex
 
 
 def parse_scalar(text) -> Fraction:
@@ -25,26 +20,6 @@ def parse_scalar(text) -> Fraction:
 
 
 def format_scalar(v) -> str:
-    """Inverse of parse_scalar for exact values."""
+    """Inverse of parse_scalar."""
     f = Fraction(v)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction))
-
-
-def scalar_sort_key(v):
-    """Deterministic order covering both modes: rationals first by value,
-    then floats/complex by (real, imag)."""
-    if isinstance(v, (int, Fraction)):
-        return (0, Fraction(v), Fraction(0))
-    z = complex(v)
-    return (1, z.real, z.imag)
-
-
-def scalars_close(a, b, tol: float = 1e-9) -> bool:
-    """Equality in exact mode, tolerance in numeric mode."""
-    if is_exact(a) and is_exact(b):
-        return Fraction(a) == Fraction(b)
-    return abs(complex(a) - complex(b)) <= tol

@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Optional
 
 from .gl import BoxIndex, parity
 from .pyramid import Pyramid
-from .scalars import is_exact, scalar_sort_key, scalars_close
 
 
 class Tableau:
@@ -93,11 +92,9 @@ class Tableau:
 
 
 def canonical_row_form(A: Tableau) -> Tableau:
-    """Sort each row by the fixed scalar order; the result names the
-    row-equivalence class of A."""
-    return Tableau.from_rows(
-        A.pyramid, [sorted(row, key=scalar_sort_key) for row in A.rows()]
-    )
+    """Sort each row ascending; the result names the row-equivalence
+    class of A."""
+    return Tableau.from_rows(A.pyramid, [sorted(row) for row in A.rows()])
 
 
 def row_equivalent(A: Tableau, B: Tableau) -> bool:
@@ -113,19 +110,14 @@ def _chain_next(upper_value, upper_parity: int, lower_parity: int):
     return -1 - upper_value
 
 
-def is_column_connected(A: Tableau, tol: float = 1e-9) -> bool:
+def is_column_connected(A: Tableau) -> bool:
     py = A.pyramid
-    exact = all(is_exact(v) for v in A.entries.values())
     for c in range(1, py.ell + 1):
         rows = list(py.column_rows(c))
         for upper_r, lower_r in zip(rows, rows[1:]):
             up = py.box_at(upper_r, c)
             low = py.box_at(lower_r, c)
-            want = _chain_next(A[up], parity(up), parity(low))
-            if exact:
-                if A[low] != want:
-                    return False
-            elif not scalars_close(A[low], want, tol):
+            if A[low] != _chain_next(A[up], parity(up), parity(low)):
                 return False
     return True
 
@@ -162,7 +154,7 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
     dead: set = set()
 
     def state_key(pos: int):
-        return (pos, tuple(tuple(sorted(r.elements(), key=scalar_sort_key)) for r in remaining))
+        return (pos, tuple(tuple(sorted(r.elements())) for r in remaining))
 
     def search(pos: int) -> bool:
         if pos == len(columns):
@@ -173,7 +165,7 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
         c = columns[pos]
         rows = list(py.column_rows(c))
         tops = [v for v, cnt in remaining[rows[0] - 1].items() if cnt > 0]
-        for top in sorted(tops, key=scalar_sort_key):
+        for top in sorted(tops):
             chain = _column_chain(py, c, top)
             consumed = []
             ok = True
@@ -205,7 +197,7 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
 def classify(py: Pyramid, entry_pool: Iterable) -> list[Tableau]:
     """Canonical forms of all column-connected tableaux with entries in the
     pool, one per row-equivalence class, in a deterministic order."""
-    pool = sorted(set(entry_pool), key=scalar_sort_key)
+    pool = sorted(set(entry_pool))
     pool_set = set(pool)
     chains_per_col: list[list[list]] = []
     for c in range(1, py.ell + 1):
@@ -230,5 +222,5 @@ def classify(py: Pyramid, entry_pool: Iterable) -> list[Tableau]:
         if key not in seen:
             seen.add(key)
             out.append(canon)
-    out.sort(key=lambda t: tuple(tuple(scalar_sort_key(v) for v in row) for row in t.rows()))
+    out.sort(key=lambda t: tuple(tuple(row) for row in t.rows()))
     return out

@@ -45,6 +45,10 @@ def files(tmp_path):
     put("eig.json", {"a": [["2", "1"], ["3"], ["-1"]]})
     put("nonsplit.json", {"a": [["0", "1"], ["0"], ["0"]]})
     put("single.json", {"shift": [[0]], "ell": 1, "signs": "0"})
+    put("row2.json", {"shift": [[0]], "ell": 2, "signs": "0"})
+    put("row3.json", {"shift": [[0]], "ell": 3, "signs": "0"})
+    # (z - 1)(z^2 + 1): one rational root, then an irreducible quadratic
+    put("cubic.json", {"a": [["1", "1", "1"]]})
     return paths
 
 
@@ -180,27 +184,18 @@ def test_solve_non_split(files, capsys):
     assert "non_split" in err
     json.loads(err.strip().splitlines()[-1])
 
-    # the numeric fallback completes over the complex numbers
-    code, out, _ = run(
-        ["solve", "--pyramid", files["py.json"], "--eigenvalues",
-         files["nonsplit.json"], "--numeric"],
+    # the message ends in the exact factor left once the rational root
+    # of (z - 1)(z^2 + 1) is divided out
+    code, out, err = run(
+        ["solve", "--pyramid", files["row3.json"], "--eigenvalues",
+         files["cubic.json"]],
         capsys,
     )
-    assert code == 0
-    assert "round_trip=ok" in out
-
-
-def test_solve_numeric_without_numpy(files, capsys, monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    code, _, err = run(
-        ["solve", "--pyramid", files["py.json"], "--eigenvalues",
-         files["nonsplit.json"], "--numeric"],
-        capsys,
-    )
-    assert code == 2
+    assert code == 4
+    assert out == ""
     doc = json.loads(err.strip().splitlines()[-1])
-    assert doc["error"] == "invalid_input"
-    assert "superw[numeric]" in doc["message"]
+    assert doc["error"] == "non_split"
+    assert doc["message"].endswith(": 1 0 1")
 
 
 def test_dims_verb(files, capsys):
@@ -215,6 +210,14 @@ def test_usage_errors(files, capsys):
     assert main(["frobnicate"]) == 1
     _, err = capsys.readouterr()
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+    # solve has no float mode: --numeric and --tol are unknown options
+    solve = ["solve", "--pyramid", files["py.json"], "--eigenvalues", files["nonsplit.json"]]
+    for extra in (["--numeric"], ["--tol", "1e-9"]):
+        code, out, err = run(solve + extra, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
 
 
 def test_invalid_inputs(files, capsys, tmp_path):
@@ -245,6 +248,16 @@ def test_invalid_inputs(files, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "ell must be an integer" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    # a level bound below 1 would check almost nothing and still say ok
+    for level in ("-3", "0"):
+        code, out, err = run(
+            ["wgen-verify", "--pyramid", files["row2.json"], "--max-level", level],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "invalid_input"
 
 
 def test_console_script(tmp_path):

@@ -1,7 +1,6 @@
 """Eigenvalue data, factorization solvers, and the symbolic module check."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from superw.onedim import (
     EigenvalueData,
     NonSplitError,
+    _rational_roots,
     eigenvalues_of,
     elementary_symmetric,
     quotient_relation_check,
@@ -100,17 +100,61 @@ def test_solve_b_examples():
 def test_solve_b_non_split():
     with pytest.raises(NonSplitError):
         solve_b("0", (2,), [[0, 1]])  # b^2 + 1 has no rational roots
+    # (z - 1)(z^2 + 1): the rational root is divided out and the message
+    # ends in the exact residual z^2 + 1
+    with pytest.raises(NonSplitError, match=r": 1 0 1$"):
+        solve_b("0", (3,), [[1, 1, 1]])
 
 
-def test_solve_b_numeric_mode():
-    roots = solve_b("0", (2,), [[0, 1]], mode="numeric")[0]
-    assert sorted(round(abs(complex(z).imag), 6) for z in roots) == [1.0, 1.0]
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
 
 
-def test_numeric_mode_without_numpy_names_the_extra(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ValueError, match=r"superw\[numeric\]"):
-        solve_b("0", (2,), [[0, 1]], mode="numeric")
+def test_rational_roots_match_sympy():
+    """Differential oracle for the only root finder: sympy's factorization
+    over Q gives the rational roots with multiplicity and, when the
+    polynomial does not split, the product of the remaining factors."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(2024)
+    split = non_split = 0
+    for _ in range(150):
+        poly = sympy.Poly(1, z, domain="QQ")
+        for _ in range(rng.randint(0, 5)):
+            root = sympy.Rational(rng.randint(-9, 9), rng.randint(1, 4))
+            poly *= sympy.Poly(z - root, z, domain="QQ")
+        if rng.random() < 0.5:
+            # an irreducible quadratic or cubic factor
+            while True:
+                degree = rng.choice((2, 3))
+                coeffs = [1] + [sympy.Rational(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(degree)]
+                extra = sympy.Poly(coeffs, z, domain="QQ")
+                if extra.is_irreducible:
+                    break
+            poly *= extra
+        if poly.degree() < 1:
+            continue
+        coeffs = [_fraction(c) for c in poly.all_coeffs()]
+
+        expected_roots = []
+        residual = sympy.Poly(1, z, domain="QQ")
+        for factor, mult in poly.factor_list()[1]:
+            factor = factor.monic()
+            if factor.degree() == 1:
+                expected_roots += [-_fraction(factor.all_coeffs()[1])] * mult
+            else:
+                residual *= factor**mult
+
+        if residual.degree() == 0:
+            split += 1
+            assert sorted(_rational_roots(coeffs)) == sorted(expected_roots)
+        else:
+            non_split += 1
+            with pytest.raises(NonSplitError) as info:
+                _rational_roots(coeffs)
+            tail = str(info.value).rsplit(": ", 1)[1].split()
+            assert [Fraction(t) for t in tail] == [_fraction(c) for c in residual.all_coeffs()]
+    assert split > 20 and non_split > 20
 
 
 def test_solve_b_shifted_round_trip(gl36, worked_tableau):

@@ -3,13 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from superw.scalars import (
-    format_scalar,
-    is_exact,
-    parse_scalar,
-    scalar_sort_key,
-    scalars_close,
-)
+from superw.scalars import format_scalar, parse_scalar
 
 
 def test_parse_examples():
@@ -32,25 +26,6 @@ def test_parse_rejects_junk():
             parse_scalar(bad)
     with pytest.raises(TypeError):
         parse_scalar(0.5)
-
-
-def test_is_exact():
-    assert is_exact(4)
-    assert is_exact(Fraction(1, 3))
-    assert not is_exact(0.25)
-    assert not is_exact(1 + 2j)
-
-
-def test_sort_key_orders_exacts_first():
-    keys = sorted([0.5, 2, Fraction(-1, 2), -3], key=scalar_sort_key)
-    assert keys == [-3, Fraction(-1, 2), 2, 0.5]
-
-
-def test_scalars_close():
-    assert scalars_close(Fraction(1, 3), Fraction(1, 3))
-    assert not scalars_close(Fraction(1, 3), Fraction(1, 2))
-    assert scalars_close(1.0, 1.0 + 1e-12)
-    assert not scalars_close(1.0, 1.1)
 
 
 @given(st.fractions(max_denominator=10**6))
