@@ -84,16 +84,7 @@ class EigenvalueData:
         """Rebuild the full table: beyond the reduced range each value is
         forced by the vanishing of the quotient-series coefficients."""
         levels = tuple(int(p) for p in levels)
-        reduced = [list(row) for row in reduced]
-        if len(reduced) != len(levels):
-            raise ValueError("one reduced row per pyramid row required")
-        prev = 0
-        for i, row in enumerate(reduced):
-            if len(row) != levels[i] - prev:
-                raise ValueError(
-                    f"reduced row {i+1} must have {levels[i] - prev} values, got {len(row)}"
-                )
-            prev = levels[i]
+        reduced = _check_reduced_shape(levels, reduced)
         full: list[list] = []
         for i, row in enumerate(reduced):
             if i == 0:
@@ -229,12 +220,28 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
 # -- the inverse problem ------------------------------------------------
 
 
+def _check_reduced_shape(levels: Sequence[int], reduced: Sequence[Sequence]) -> list[list]:
+    """The reduced rows as lists, after checking that row i holds
+    p_i - p_{i-1} values, one row per pyramid row."""
+    reduced = [list(row) for row in reduced]
+    if len(reduced) != len(levels):
+        raise ValueError("one reduced row per pyramid row required")
+    prev = 0
+    for i, row in enumerate(reduced):
+        if len(row) != levels[i] - prev:
+            raise ValueError(
+                f"reduced row {i+1} must have {levels[i] - prev} values, got {len(row)}"
+            )
+        prev = levels[i]
+    return reduced
+
+
 def _as_reduced_rows(signs: str, levels: Sequence[int], a) -> list[list]:
     if isinstance(a, EigenvalueData):
         if a.signs != "".join(signs) or tuple(a.levels) != tuple(levels):
             raise ValueError("eigenvalue data does not match the given shape")
         return [list(row) for row in a.reduced]
-    return [list(row) for row in a]
+    return _check_reduced_shape(levels, a)
 
 
 def _solve_new_values(reduced_row: Sequence, inherited: Sequence) -> list:

@@ -259,6 +259,18 @@ def test_invalid_inputs(files, capsys, tmp_path):
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "invalid_input"
 
+    # reduced tables of the wrong shape for the flagship (row lengths 2, 1, 1):
+    # too few rows, and a row 1 of three values that must not be read as a cubic
+    for name, a in (("short.json", [["1"]]), ("long_row.json", [["2", "1", "5"], ["3"], ["-1"]])):
+        path = tmp_path / name
+        path.write_text(json.dumps({"a": a}))
+        code, out, err = run(
+            ["solve", "--pyramid", files["py.json"], "--eigenvalues", str(path)], capsys
+        )
+        assert code == 2, name
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "invalid_input"
+
 
 def test_console_script(tmp_path):
     # Run the declared `superw` entry the way an installed launcher does:

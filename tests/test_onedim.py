@@ -106,6 +106,15 @@ def test_solve_b_non_split():
         solve_b("0", (3,), [[1, 1, 1]])
 
 
+def test_solvers_reject_misshapen_reduced_rows(gl36):
+    # the flagship's reduced rows hold 2, 1 and 1 values
+    for bad in ([[1]], [[2, 1, 5], [3], [-1]], [[2, 1], [3], [-1], [0]], [[2, 1], [], [-1]]):
+        with pytest.raises(ValueError, match="reduced row"):
+            solve_b(gl36.signs, gl36.p, bad)
+        with pytest.raises(ValueError, match="reduced row"):
+            solve_b_shifted(gl36, bad)
+
+
 def _fraction(q) -> Fraction:
     return Fraction(int(q.p), int(q.q))
 
@@ -174,7 +183,8 @@ def test_tableau_from_eigenvalues(gl36, worked_tableau):
 
 
 def test_zero_data_comes_from_constant_rows(gl36):
-    zero = tuple(tuple(0 for _ in range(p)) for p in gl36.p)
+    # reduced rows hold p_i - p_{i-1} values: 2, 1 and 1 on the flagship
+    zero = ((0, 0), (0,), (0,))
     B = tableau_from_eigenvalues(gl36, zero)
     assert B.rows() == [[-1, -1], [0, 0, 0], [-1, -1, -1, -1]]
     assert is_column_connected(B)

@@ -21,7 +21,7 @@ from superw.pbw import (
     supercommutator,
     twisted_action,
 )
-from superw.pyramid import all_pairs, from_shift
+from superw.pyramid import all_pairs, enumerate_pyramids, from_shift
 from superw.yangian import algebra_for
 
 P1, P2, P3 = plus(1), plus(2), plus(3)
@@ -95,6 +95,11 @@ def is_normal(alg, mono) -> bool:
     return all(x < y or (x == y and not alg.parities[x]) for x, y in zip(mono, mono[1:]))
 
 
+def supercommutes(alg, x, y) -> bool:
+    """[x, y] = 0 by the bracket table of gl(M|N)."""
+    return bracket_pair(*alg.pairs[x], *alg.pairs[y]).is_zero()
+
+
 def test_scalar_and_identity(gl36, alg36):
     one = identity(alg36)
     assert one.constant_term() == 1
@@ -162,10 +167,60 @@ def test_product_memo_holds_only_straightened_words(host, request):
         # a word is memoized only when its generator sits above the monomial
         assert len(word) >= 2 and word[0] > word[1], word
         assert is_normal(alg, word[1:]), word
+        # ... and fails to supercommute with some factor it must move past:
+        # a commuting-prefix word is a signed insertion, never memoized
+        x = word[0]
+        assert any(not supercommutes(alg, x, y) for y in word[1:] if y < x), word
         assert isinstance(value, tuple), word
         for mono, c in value:
             assert is_normal(alg, mono), (word, mono)
             assert isinstance(c, (int, Fraction)) and c != 0, (word, c)
+
+
+def test_commutes_mask_matches_bracket_table(gl36, py4):
+    hosts = [gl36, py4, *enumerate_pyramids(4)]
+    assert len(hosts) > 10
+    for py in hosts:
+        alg = EnvelopingAlgebra(py)
+        n = len(alg.pairs)
+        assert len(alg.commutes) == n
+        for x in range(n):
+            mask = alg.commutes[x]
+            assert mask >> n == 0, (py, x)
+            for y in range(n):
+                if mask >> y & 1:
+                    assert alg._bracket_idx(x, y) == (), (py, x, y)
+                elif x != y:
+                    assert alg._bracket_idx(x, y) != (), (py, x, y)
+
+
+def test_commuting_prefix_signs(gl36):
+    """Fast-path words x·mono whose x supercommutes with every factor below
+    it: straightened against the naive rewriter on a cold algebra, which
+    memoizes none of them."""
+    alg = EnvelopingAlgebra(gl36)
+    n = len(alg.pairs)
+
+    def below(x, odd):
+        return [y for y in range(x) if alg.parities[y] == odd and supercommutes(alg, x, y)]
+
+    def product(x, mono):
+        got = generator(alg, *alg.pairs[x]) * UEAElement(alg, {mono: 1})
+        assert got == naive_product(generator(alg, *alg.pairs[x]), UEAElement(alg, {mono: 1}))
+        return got.terms
+
+    # odd x past three odd and one even commuting factor: coefficient -1
+    x = next(x for x in range(n) if alg.parities[x] and len(below(x, 1)) >= 3 and below(x, 0))
+    mono = tuple(sorted(below(x, 1)[:3] + below(x, 0)[:1]))
+    assert product(x, mono) == {tuple(sorted(mono + (x,))): -1}
+    # odd x past one odd commuting factor onto its own copy: 0
+    y = below(x, 1)[0]
+    assert product(x, (y, x)) == {}
+    # even x past a commuting factor onto its own copy: the exponent rises
+    x = next(x for x in range(n) if not alg.parities[x] and below(x, 1))
+    y = below(x, 1)[0]
+    assert product(x, (y, x)) == {(y, x, x): 1}
+    assert not alg._gen_memo
 
 
 @pytest.mark.parametrize("host", ["gl36", "py4"])
