@@ -45,6 +45,12 @@ def elementary_symmetric(r: int, values: Sequence) -> Scalar:
     return coeffs[r]
 
 
+def _quotient_coefficient(dprime: Sequence, a: Sequence, r: int) -> Scalar:
+    """[u^r] of a(u)·D'(u), with a(u) = 1 + a[0] u^{-1} + ... cut off after
+    len(a) terms: sum over t <= min(r, len(a)) of dprime[r-t]·a_t, a_0 = 1."""
+    return sum(dprime[r - t] * (a[t - 1] if t else 1) for t in range(min(r, len(a)) + 1))
+
+
 class EigenvalueData:
     """Eigenvalues a_i^{(r)} of the level generators on a one-dimensional
     module: full table (r up to p_i) plus the reduced prefix (r up to
@@ -94,11 +100,8 @@ class EigenvalueData:
             dprime = d_prime_series(prev_row + [0] * (levels[i] - len(prev_row)))
             cur = list(row)
             for r in range(len(cur) + 1, levels[i] + 1):
-                acc = 0
-                for t in range(0, r):
-                    a_t = cur[t - 1] if t >= 1 else 1
-                    acc += dprime[r - t] * a_t
-                cur.append(-acc)
+                # cur holds a_1..a_{r-1}, so this is the coefficient without a_r
+                cur.append(-_quotient_coefficient(dprime, cur, r))
             full.append(cur)
         return cls("".join(signs), levels, full)
 
@@ -327,18 +330,8 @@ def quotient_relation_check(a: EigenvalueData, extra: int = 2) -> bool:
         pj, pj1 = a.levels[j], a.levels[j + 1]
         bound = pj1 + extra
         dprime = d_prime_series(list(a.full[j]) + [0] * (bound - pj))
-        nxt = list(a.full[j + 1])
         for r in range(pj1 - pj + 1, bound + 1):
-            acc = 0
-            for t in range(0, r + 1):
-                if t == 0:
-                    a_t = 1
-                elif t <= len(nxt):
-                    a_t = nxt[t - 1]
-                else:
-                    continue
-                acc += dprime[r - t] * a_t
-            if acc != 0:
+            if _quotient_coefficient(dprime, a.full[j + 1], r) != 0:
                 return False
     return True
 

@@ -115,10 +115,13 @@ class Pyramid:
         # Box numbering: down columns, left to right, each parity independently.
         pos_of: dict[BoxIndex, tuple[int, int]] = {}
         at: dict[tuple[int, int], BoxIndex] = {}
+        col_top: list[int] = []
         np_, nm = 0, 0
         for c in range(1, ell + 1):
             for r in range(1, nrows + 1):
                 if first[r - 1] <= c <= last[r - 1]:
+                    if len(col_top) < c:
+                        col_top.append(r)
                     if signs[r - 1] == "0":
                         np_ += 1
                         b = plus(np_)
@@ -131,6 +134,7 @@ class Pyramid:
         self.N = nm
         self._pos = pos_of
         self._at = at
+        self._col_top = tuple(col_top)
         self.boxes = tuple(
             sorted(pos_of, key=BoxIndex.sort_key)
         )  # 1 .. M, then 1bar .. Nbar
@@ -186,14 +190,11 @@ class Pyramid:
         return int(self.signs[r - 1])
 
     def column_rows(self, c: int) -> range:
-        """Rows occupied by column c, top to bottom."""
-        top = min(
-            (r for r in range(1, self.nrows + 1) if self.row_first_col[r - 1] <= c <= self.row_last_col[r - 1]),
-            default=None,
-        )
-        if top is None:
+        """Rows occupied by column c, top to bottom; every column ends in
+        the bottom row, which spans the full width."""
+        if not 1 <= c <= self.ell:
             raise KeyError(f"column {c} out of range")
-        return range(top, self.nrows + 1)
+        return range(self._col_top[c - 1], self.nrows + 1)
 
     # -- equality / serialization ---------------------------------------
 
@@ -346,15 +347,6 @@ def good_pair_check(py: Pyramid) -> bool:
         if d >= -1 and rank != len(target):
             return False
     return True
-
-
-def odd_generator_rows(py: Pyramid) -> set[int]:
-    """Rows i whose sign differs from row i+1; these index the odd generators."""
-    return {
-        i
-        for i in range(1, py.nrows)
-        if py.signs[i - 1] != py.signs[i]
-    }
 
 
 # -- enumeration -------------------------------------------------------

@@ -4,12 +4,14 @@ representative search, and classification of fillings from a finite pool.
 Column-connectedness couples each box to the one directly below it:
 equal parities differ by 1 going down, mixed parities sum to -1.  Within
 one column the whole chain is therefore determined by its top value.
+A row-equivalence class is named by its sorted rows (`_row_class_key`);
+`classify` enumerates those names per group of columns with one top row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Mapping, Optional
 
 from .gl import BoxIndex, parity
@@ -91,16 +93,20 @@ class Tableau:
         return cls.from_rows(py, rows)
 
 
+def _row_class_key(A: Tableau) -> tuple:
+    """Each row sorted ascending: the name of the row-equivalence class of A."""
+    return tuple(tuple(sorted(row)) for row in A.rows())
+
+
 def canonical_row_form(A: Tableau) -> Tableau:
-    """Sort each row ascending; the result names the row-equivalence
-    class of A."""
-    return Tableau.from_rows(A.pyramid, [sorted(row) for row in A.rows()])
+    """The representative of A's row-equivalence class with sorted rows."""
+    return Tableau.from_rows(A.pyramid, _row_class_key(A))
 
 
 def row_equivalent(A: Tableau, B: Tableau) -> bool:
     if A.pyramid != B.pyramid:
         raise ValueError("tableaux live on different pyramids")
-    return canonical_row_form(A).entries == canonical_row_form(B).entries
+    return _row_class_key(A) == _row_class_key(B)
 
 
 def _chain_next(upper_value, upper_parity: int, lower_parity: int):
@@ -196,31 +202,30 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
 
 def classify(py: Pyramid, entry_pool: Iterable) -> list[Tableau]:
     """Canonical forms of all column-connected tableaux with entries in the
-    pool, one per row-equivalence class, in a deterministic order."""
+    pool, one per row-equivalence class, in a deterministic order.
+
+    Enumeration runs per column group, not per column.  Every column ends
+    in the bottom row, so columns with the same top row share their rows
+    and their pool chains.  Row multisets forget which column a value came
+    from, so each group takes a multiset of its chains.
+    """
     pool = sorted(set(entry_pool))
     pool_set = set(pool)
-    chains_per_col: list[list[list]] = []
+    groups: dict[int, list[int]] = {}
     for c in range(1, py.ell + 1):
-        chains = []
-        for top in pool:
-            chain = _column_chain(py, c, top)
-            if all(v in pool_set for v in chain):
-                chains.append(chain)
+        groups.setdefault(py.column_rows(c).start, []).append(c)
+    options = []
+    for top, cols in sorted(groups.items()):
+        chains = [_column_chain(py, cols[0], v) for v in pool]
+        chains = [ch for ch in chains if pool_set.issuperset(ch)]
         if not chains:
             return []
-        chains_per_col.append(chains)
-
-    seen = set()
-    out = []
-    for combo in product(*chains_per_col):
-        entries = {}
-        for c, chain in enumerate(combo, start=1):
-            for r, v in zip(py.column_rows(c), chain):
-                entries[py.box_at(r, c)] = v
-        canon = canonical_row_form(Tableau(py, entries))
-        key = tuple(tuple(row) for row in canon.rows())
-        if key not in seen:
-            seen.add(key)
-            out.append(canon)
-    out.sort(key=lambda t: tuple(tuple(row) for row in t.rows()))
-    return out
+        # per row, the values one multiset of the group's chains puts there
+        above = ((),) * (top - 1)
+        combos = combinations_with_replacement(chains, len(cols))
+        options.append([above + tuple(zip(*combo)) for combo in combos])
+    keys = {
+        tuple(tuple(sorted(v for part in row for v in part)) for row in zip(*choice))
+        for choice in product(*options)
+    }
+    return [Tableau.from_rows(py, key) for key in sorted(keys)]

@@ -2,8 +2,9 @@
 
 The acceptance suite (test_acceptance.py) carries one test per numbered
 criterion; the terminal-summary hook below turns their outcomes into one
-"criterion N: PASS/FAIL" line each so the verdicts survive in captured
-pytest output.
+"criterion N: PASS/FAIL" line each, ending in the seconds of the test's
+call phase, so the verdicts and their cost survive in captured pytest
+output.
 """
 
 import re
@@ -59,6 +60,7 @@ _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_0*(\d+)")
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     outcomes: dict[int, str] = {}
+    seconds: dict[int, float] = {}
     for status in ("passed", "failed", "error", "skipped"):
         for rep in terminalreporter.stats.get(status, []):
             m = _CRITERION.search(getattr(rep, "nodeid", "") or "")
@@ -67,6 +69,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 # a failed call outranks a passed setup report
                 if outcomes.get(n) != "failed":
                     outcomes[n] = status
+                if getattr(rep, "when", None) == "call":
+                    seconds[n] = rep.duration
     if not outcomes:
         return
     terminalreporter.section("acceptance criteria")
@@ -80,4 +84,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             line = f"criterion {n}: FAIL (not run)"
         else:
             line = f"criterion {n}: FAIL ({status})"
+        if n in seconds:
+            line += f" [{seconds[n]:.1f} s]"
         terminalreporter.write_line(line)

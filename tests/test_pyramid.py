@@ -17,7 +17,6 @@ from superw.pyramid import (
     good_pair_check,
     graded_basis,
     h_pi,
-    odd_generator_rows,
     vertical_adjacent_pairs,
 )
 from superw.pyramid import Pyramid
@@ -138,8 +137,14 @@ def test_vertical_adjacencies(gl36):
         assert abs(py.row(a) - py.row(b)) == 1
 
 
-def test_odd_generator_rows(gl36):
-    assert odd_generator_rows(gl36) == {1, 2}
+def test_column_rows_matches_boxes():
+    for py in enumerate_pyramids(5):
+        for c in range(1, py.ell + 1):
+            expect = [r for r in range(1, py.nrows + 1) if py.has_box(r, c)]
+            assert list(py.column_rows(c)) == expect, (py, c)
+        for c in (0, py.ell + 1):
+            with pytest.raises(KeyError):
+                py.column_rows(c)
 
 
 def test_shift_matrix():

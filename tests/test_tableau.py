@@ -9,6 +9,7 @@ import pytest
 from superw.pyramid import enumerate_pyramids, from_shift
 from superw.tableau import (
     Tableau,
+    _column_chain,
     canonical_row_form,
     classify,
     find_cc_representative,
@@ -152,3 +153,49 @@ def test_verdict_is_class_invariant(gl36):
             rng.shuffle(r)
         B = Tableau.from_rows(gl36, shuffled)
         assert (find_cc_representative(B) is not None) == verdict
+
+
+def _classify_per_column(py, entry_pool):
+    """Classification by the product over columns, one chain per column
+    and two Tableaux per combination: slow, but it shares no grouping
+    with classify, so it serves as its oracle."""
+    pool = sorted(set(entry_pool))
+    pool_set = set(pool)
+    chains_per_col: list[list[list]] = []
+    for c in range(1, py.ell + 1):
+        chains = []
+        for top in pool:
+            chain = _column_chain(py, c, top)
+            if all(v in pool_set for v in chain):
+                chains.append(chain)
+        if not chains:
+            return []
+        chains_per_col.append(chains)
+
+    seen = set()
+    out = []
+    for combo in product(*chains_per_col):
+        entries = {}
+        for c, chain in enumerate(combo, start=1):
+            for r, v in zip(py.column_rows(c), chain):
+                entries[py.box_at(r, c)] = v
+        canon = canonical_row_form(Tableau(py, entries))
+        key = tuple(tuple(row) for row in canon.rows())
+        if key not in seen:
+            seen.add(key)
+            out.append(canon)
+    out.sort(key=lambda t: tuple(tuple(row) for row in t.rows()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [(-2, -1, 0, 1), (Fraction(-1, 2), -1, 0, Fraction(1, 2), 2)],
+    ids=["integers", "fractions"],
+)
+def test_classify_matches_per_column_product(pool):
+    pyramids = list(enumerate_pyramids(6))
+    assert len(pyramids) == 524
+    for py in pyramids:
+        got = [t.rows() for t in classify(py, pool)]
+        assert got == [t.rows() for t in _classify_per_column(py, pool)], py
