@@ -20,6 +20,7 @@ from superw.pyramid import (
     vertical_adjacent_pairs,
 )
 from superw.pyramid import Pyramid
+from superw.yangian import generator_parity
 
 
 def test_flagship_attributes(gl36):
@@ -135,6 +136,13 @@ def test_vertical_adjacencies(gl36):
     for a, b in pairs:
         assert py.col(a) == py.col(b)
         assert abs(py.row(a) - py.row(b)) == 1
+
+
+def test_odd_generator_rows(gl36):
+    # the rows i < n whose generators D/E/F are odd: exactly those where the
+    # sign changes between rows i and i+1
+    odd = {i for i in range(1, gl36.nrows) if generator_parity(gl36, i)}
+    assert odd == {1, 2}
 
 
 def test_column_rows_matches_boxes():
