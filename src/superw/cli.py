@@ -303,7 +303,6 @@ def cmd_solve(args) -> int:
     lines.append(f"round_trip={_verdict(round_trip)}")
     doc = {
         "pyramid": py.to_json(),
-        "mode": "exact",
         "rows": [[format_scalar(v) for v in row] for row in A.rows()],
         "column_connected": cc,
         "round_trip": round_trip,

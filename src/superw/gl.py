@@ -1,7 +1,9 @@
 """Exact arithmetic for the general linear Lie superalgebra gl(M|N).
 
 Basis indices are boxes: plus boxes 1..M (even) followed by minus boxes
-1..N (odd), totally ordered plus-before-minus.  Elements are sparse
+1..N (odd).  A box is the tuple (sign, ordinal) with sign 0 for plus and 1
+for minus, so plain tuple order is the basis order 1 < ... < M < 1bar < ...
+< Nbar, and boxes sort, hash and compare as tuples.  Elements are sparse
 rational combinations of elementary matrices e_{i,j}; the supercommutator
 and the supertrace form are computed from the structure constants
 
@@ -10,9 +12,8 @@ and the supertrace form are computed from the structure constants
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Tuple
 
 Scalar = int | Fraction
 
@@ -20,28 +21,11 @@ PLUS = 0
 MINUS = 1
 
 
-@dataclass(frozen=True)
-class BoxIndex:
+class BoxIndex(NamedTuple):
     """One basis index of gl(M|N): sign 0 for a plus box, 1 for a minus box."""
 
     sign: int
     ordinal: int
-
-    def __post_init__(self):
-        if self.sign not in (PLUS, MINUS):
-            raise ValueError(f"sign must be 0 (plus) or 1 (minus), got {self.sign!r}")
-        if self.ordinal < 1:
-            raise ValueError(f"ordinal must be positive, got {self.ordinal!r}")
-
-    # Total order 1 < ... < M < 1bar < ... < Nbar.
-    def sort_key(self) -> tuple[int, int]:
-        return (self.sign, self.ordinal)
-
-    def __lt__(self, other: "BoxIndex") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "BoxIndex") -> bool:
-        return self.sort_key() <= other.sort_key()
 
     def __str__(self) -> str:
         return str(self.ordinal) if self.sign == PLUS else f"-{self.ordinal}"
@@ -50,12 +34,18 @@ class BoxIndex:
         return f"box({self})"
 
 
+def _checked_ordinal(ordinal: int) -> int:
+    if ordinal < 1:
+        raise ValueError(f"ordinal must be positive, got {ordinal!r}")
+    return ordinal
+
+
 def plus(ordinal: int) -> BoxIndex:
-    return BoxIndex(PLUS, ordinal)
+    return BoxIndex(PLUS, _checked_ordinal(ordinal))
 
 
 def minus(ordinal: int) -> BoxIndex:
-    return BoxIndex(MINUS, ordinal)
+    return BoxIndex(MINUS, _checked_ordinal(ordinal))
 
 
 def parity(i: BoxIndex) -> int:
@@ -146,7 +136,7 @@ class LieSuperElement:
         if not self.terms:
             return "0"
         bits = []
-        for (i, j), c in sorted(self.terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
+        for (i, j), c in sorted(self.terms.items()):
             bits.append(f"{c}*e({i},{j})")
         return " + ".join(bits).replace("+ -", "- ")
 
@@ -201,7 +191,7 @@ def superform(x: LieSuperElement, y: LieSuperElement) -> Scalar:
 
 
 def rational_rank(rows: list[list[Scalar]]) -> int:
-    """Rank of a matrix over the rationals by fraction-free-ish Gaussian elimination."""
+    """Rank of a matrix over the rationals by Gaussian elimination over Fraction."""
     mat = [[Fraction(v) for v in row] for row in rows]
     if not mat:
         return 0

@@ -14,14 +14,17 @@ factor left over.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .pbw import evaluate_one_dim
 from .pyramid import Pyramid
 from .scalars import format_scalar, parse_scalar
 from .tableau import Tableau, is_column_connected
-from .yangian import d_prime_series
+from .weights import Weight, lambda_A, rho_tilde
+from .yangian import D, E, F, d_prime_series
 
 Scalar = int | Fraction
 
@@ -346,10 +349,6 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
     independent of the entry-chain search in tableau.find_cc_representative;
     the two must agree on solvability.
     """
-    from collections import Counter
-
-    from .weights import Weight, rho_tilde
-
     rt = rho_tilde(py)
     counts = [Counter(row) for row in row_contents]
     if len(counts) != py.nrows:
@@ -421,10 +420,6 @@ def symbolic_module_check(A: Tableau, extra_levels: int = 0) -> bool:
     predicted generator action: each D_i^{(r)} evaluates (through the
     weight lambda_A - rho_tilde) to the formula eigenvalue, and the E/F
     generators at their lowest admissible levels evaluate to zero."""
-    from .pbw import evaluate_one_dim
-    from .weights import lambda_A, rho_tilde
-    from .yangian import D, E, F
-
     py = A.pyramid
     if not is_column_connected(A):
         raise ValueError("symbolic check requires a column-connected tableau")

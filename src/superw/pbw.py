@@ -41,9 +41,11 @@ from .gl import (
     Pair,
     bracket_pair,
     pair_parity,
+    superform,
 )
-from .pyramid import Pyramid, chi as pyramid_chi, graded_basis
 from .gl import e as lie_e
+from .pyramid import Pyramid, e_pi, graded_basis
+from .weights import Weight, is_onedim_h_weight
 
 Scalar = int | Fraction
 
@@ -77,8 +79,10 @@ class EnvelopingAlgebra:
             pr = p_basis[k]
             if pr[0] != pr[1]:
                 raise AssertionError("h-basis must start with the diagonal pairs")
+        # chi(x) = (e_pi, x); e_pi is built once here, not once per m-pair.
+        ep = e_pi(py)
         self.chi_values: tuple[int, ...] = tuple(
-            int(pyramid_chi(py, lie_e(i, j))) for (i, j) in m_basis
+            int(superform(ep, lie_e(i, j))) for (i, j) in m_basis
         )
         # Odd squares rewrite to (1/2)[x,x]; for gl(M|N) that bracket is 0.
         for k, pr in enumerate(self.pairs):
@@ -424,7 +428,7 @@ def _as_m_element(alg: EnvelopingAlgebra, a) -> UEAElement:
         el = a
     elif isinstance(a, LieSuperElement):
         el = from_lie(alg, a)
-    elif isinstance(a, tuple) and len(a) == 2:
+    elif isinstance(a, tuple) and a in alg.index:
         el = generator(alg, *a)
     else:
         raise TypeError(f"cannot interpret {a!r} as an m-basis element")
@@ -466,8 +470,6 @@ def evaluate_one_dim(py: Pyramid, u: UEAElement, diag, strict: bool = False) -> 
     if not u.in_U_p():
         raise ValueError("u must lie in U(p)")
     if strict:
-        from .weights import Weight, is_onedim_h_weight
-
         lam = diag if isinstance(diag, Weight) else Weight({b: diag[b] for b in py.boxes})
         if not is_onedim_h_weight(py, lam):
             raise ValueError("diag does not satisfy the one-dimensionality constraints")

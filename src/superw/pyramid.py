@@ -20,7 +20,6 @@ from .gl import (
     bracket,
     e,
     minus,
-    pair_parity,
     plus,
     rational_rank,
     superform,
@@ -135,9 +134,7 @@ class Pyramid:
         self._pos = pos_of
         self._at = at
         self._col_top = tuple(col_top)
-        self.boxes = tuple(
-            sorted(pos_of, key=BoxIndex.sort_key)
-        )  # 1 .. M, then 1bar .. Nbar
+        self.boxes = tuple(sorted(pos_of))  # 1 .. M, then 1bar .. Nbar
 
         q = [0] * ell
         for b, (_, c) in pos_of.items():
@@ -150,9 +147,6 @@ class Pyramid:
             acc += 1 if ch == "0" else -1
             rh.append(acc)
         self.row_hat = tuple(rh)
-
-        self._e_pi: LieSuperElement | None = None
-        self._h_pi: LieSuperElement | None = None
 
     # -- accessors -------------------------------------------------------
 
@@ -254,15 +248,11 @@ def vertical_adjacent_pairs(py: Pyramid) -> list[Pair]:
 
 
 def e_pi(py: Pyramid) -> LieSuperElement:
-    if py._e_pi is None:
-        py._e_pi = LieSuperElement({pair: 1 for pair in adjacent_pairs(py)})
-    return py._e_pi
+    return LieSuperElement({pair: 1 for pair in adjacent_pairs(py)})
 
 
 def h_pi(py: Pyramid) -> LieSuperElement:
-    if py._h_pi is None:
-        py._h_pi = LieSuperElement({(b, b): -py.col_x(b) for b in py.boxes})
-    return py._h_pi
+    return LieSuperElement({(b, b): -py.col_x(b) for b in py.boxes})
 
 
 def all_pairs(py: Pyramid) -> list[Pair]:
@@ -273,23 +263,22 @@ def graded_basis(py: Pyramid, part: str) -> list[Pair]:
     """Ordered basis pairs of one of the subalgebras cut out by the grading.
 
     The orders are canonical and shared with the PBW engine: within m and
-    p_prime by (degree, lex); within h diagonal pairs first, then lex.
+    p_prime by (degree, pair); within h diagonal pairs first, then by pair.
+    Pairs compare as tuples of boxes, so "by pair" is lexicographic in the
+    basis order.
     """
     pairs = all_pairs(py)
-    lex = lambda pr: (pr[0].sort_key(), pr[1].sort_key())
     if part == "m":
         sel = [pr for pr in pairs if py.degree(pr) < 0]
-        sel.sort(key=lambda pr: (py.degree(pr), lex(pr)))
+        sel.sort(key=lambda pr: (py.degree(pr), pr))
         return sel
     if part == "h":
-        diag = sorted((pr for pr in pairs if pr[0] == pr[1]), key=lex)
-        off = sorted(
-            (pr for pr in pairs if pr[0] != pr[1] and py.degree(pr) == 0), key=lex
-        )
+        diag = sorted(pr for pr in pairs if pr[0] == pr[1])
+        off = sorted(pr for pr in pairs if pr[0] != pr[1] and py.degree(pr) == 0)
         return diag + off
     if part == "p_prime":
         sel = [pr for pr in pairs if py.degree(pr) > 0]
-        sel.sort(key=lambda pr: (py.degree(pr), lex(pr)))
+        sel.sort(key=lambda pr: (py.degree(pr), pr))
         return sel
     if part == "p":
         return graded_basis(py, "h") + graded_basis(py, "p_prime")

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional
 
 from .gl import BoxIndex, parity
 from .pyramid import Pyramid
+from .scalars import format_scalar, parse_scalar
 
 
 class Tableau:
@@ -77,8 +78,6 @@ class Tableau:
         return f"Tableau({self.rows()})"
 
     def to_json(self) -> dict:
-        from .scalars import format_scalar
-
         return {
             "pyramid": self.pyramid.to_json(),
             "rows": [[format_scalar(v) for v in row] for row in self.rows()],
@@ -86,8 +85,6 @@ class Tableau:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Tableau":
-        from .scalars import parse_scalar
-
         py = Pyramid.from_json(doc["pyramid"])
         rows = [[parse_scalar(v) for v in row] for row in doc["rows"]]
         return cls.from_rows(py, rows)

@@ -30,7 +30,7 @@ class Weight:
         return self.coords.get(b, 0)
 
     def __iter__(self):
-        return iter(sorted(self.coords, key=BoxIndex.sort_key))
+        return iter(sorted(self.coords))
 
     def __add__(self, other: "Weight") -> "Weight":
         data = dict(self.coords)

@@ -170,6 +170,7 @@ def test_solve_verb(files, capsys):
         capsys,
     )
     doc = json.loads(out)
+    assert set(doc) == {"pyramid", "rows", "column_connected", "round_trip"}
     assert doc["round_trip"] is True
     assert sorted(doc["rows"][1]) == ["1", "1", "1"]
 

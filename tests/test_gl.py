@@ -29,10 +29,19 @@ M1 = minus(1)
 def test_box_index_basics():
     assert str(plus(3)) == "3"
     assert str(minus(2)) == "-2"
+    assert repr(plus(3)) == "box(3)"
+    assert repr(minus(2)) == "box(-2)"
     assert parity(plus(5)) == 0
     assert parity(minus(5)) == 1
     # plus boxes sort before minus boxes
     assert sorted([minus(1), plus(2), plus(1)]) == [plus(1), plus(2), minus(1)]
+    for make in (plus, minus):
+        with pytest.raises(ValueError):
+            make(0)
+    # equal boxes built separately are one dict key
+    seen = {plus(2): "first"}
+    seen[plus(2)] = "second"
+    assert seen == {plus(2): "second"}
 
 
 def test_bracket_even_pair():

@@ -354,6 +354,8 @@ def test_twisted_action_values(gl36, alg36):
     assert twisted_action(gl36, e(P2, P1), from_lie(alg36, e(P2, P2))) == -identity(alg36)
     with pytest.raises(ValueError):
         twisted_action(gl36, (P1, P2), d)  # not an m element
+    with pytest.raises(TypeError):
+        twisted_action(gl36, P2, d)  # a box, not a pair of boxes
     with pytest.raises(ValueError):
         twisted_action(gl36, (P2, P1), from_lie(alg36, e(P2, P1)))  # y outside U(p)
 

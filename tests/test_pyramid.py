@@ -129,6 +129,41 @@ def test_graded_basis_partition(gl36):
         graded_basis(py, "q")
 
 
+def test_box_and_basis_orders_match_explicit_key():
+    # oracle: boxes ordered by an explicit (sign, ordinal) key and pairs
+    # lexicographically in it, independent of how BoxIndex compares
+    def box_key(b):
+        return (b.sign, b.ordinal)
+
+    def pair_key(pr):
+        return (box_key(pr[0]), box_key(pr[1]))
+
+    for py in enumerate_pyramids(5):
+        boxes = [
+            py.box_at(r, c)
+            for r in range(1, py.nrows + 1)
+            for c in range(1, py.ell + 1)
+            if py.has_box(r, c)
+        ]
+        assert list(py.boxes) == sorted(boxes, key=box_key), py
+
+        pairs = all_pairs(py)
+
+        def by_degree(pr):
+            return (py.degree(pr), pair_key(pr))
+
+        m = sorted((pr for pr in pairs if py.degree(pr) < 0), key=by_degree)
+        diag = sorted((pr for pr in pairs if pr[0] == pr[1]), key=pair_key)
+        off = sorted(
+            (pr for pr in pairs if pr[0] != pr[1] and py.degree(pr) == 0), key=pair_key
+        )
+        pp = sorted((pr for pr in pairs if py.degree(pr) > 0), key=by_degree)
+        assert graded_basis(py, "m") == m, py
+        assert graded_basis(py, "h") == diag + off, py
+        assert graded_basis(py, "p_prime") == pp, py
+        assert graded_basis(py, "p") == diag + off + pp, py
+
+
 def test_vertical_adjacencies(gl36):
     py = gl36
     pairs = vertical_adjacent_pairs(py)
