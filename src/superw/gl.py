@@ -12,8 +12,10 @@ and the supertrace form are computed from the structure constants
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Tuple
+from math import gcd, lcm
+from typing import NamedTuple, Tuple
 
 Scalar = int | Fraction
 
@@ -191,35 +193,34 @@ def superform(x: LieSuperElement, y: LieSuperElement) -> Scalar:
 
 
 def rational_rank(rows: list[list[Scalar]]) -> int:
-    """Rank of a matrix over the rationals by Gaussian elimination over Fraction."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < ncols:
-        pivot = None
-        for r in range(rank, nrows):
-            if mat[r][col]:
-                pivot = r
+    """Rank over the rationals by fraction-free elimination on sparse int rows.
+
+    Each row is scaled by the lcm of its denominators to a map {col: int} and
+    inserted into an echelon keyed by leading column.  While its leading column
+    has a pivot row p, the row becomes a*row - b*p, with a, b the leading
+    entries of p and of the row over their gcd, then is divided by its content.
+    Scaling by a nonzero integer and subtracting a pivot keep the span over Q,
+    and all arithmetic is on ints, so the pivot count is the exact rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = {c: v for c, v in enumerate(row) if v}
+        den = lcm(*(v.denominator for v in vec.values()))
+        vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+        while vec:
+            content = gcd(*vec.values())
+            if content != 1:
+                vec = {c: v // content for c, v in vec.items()}
+            lead = min(vec)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = vec
                 break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, nrows):
-            factor = mat[r][col] * inv
-            if factor:
-                row = mat[r]
-                for cidx in range(col, ncols):
-                    row[cidx] -= factor * prow[cidx]
-        rank += 1
-        col += 1
-    return rank
+            g = gcd(p[lead], vec[lead])
+            a, b = p[lead] // g, vec[lead] // g
+            vec = {c: w for c in vec.keys() | p.keys()
+                   if (w := a * vec.get(c, 0) - b * p.get(c, 0))}
+    return len(pivots)
 
 
 def centralizer_dims(x: LieSuperElement, M: int, N: int) -> tuple[int, int]:

@@ -31,9 +31,9 @@ until user scalars introduce Fractions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Mapping
 
 from .gl import (
     BoxIndex,

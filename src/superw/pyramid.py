@@ -265,21 +265,18 @@ def graded_basis(py: Pyramid, part: str) -> list[Pair]:
     The orders are canonical and shared with the PBW engine: within m and
     p_prime by (degree, pair); within h diagonal pairs first, then by pair.
     Pairs compare as tuples of boxes, so "by pair" is lexicographic in the
-    basis order.
+    basis order.  all_pairs already lists pairs in that order, so filtering
+    it keeps the pair order, and sorting by degree alone keeps it within
+    each degree because Python's sort is stable.
     """
     pairs = all_pairs(py)
     if part == "m":
-        sel = [pr for pr in pairs if py.degree(pr) < 0]
-        sel.sort(key=lambda pr: (py.degree(pr), pr))
-        return sel
+        return sorted((pr for pr in pairs if py.degree(pr) < 0), key=py.degree)
     if part == "h":
-        diag = sorted(pr for pr in pairs if pr[0] == pr[1])
-        off = sorted(pr for pr in pairs if pr[0] != pr[1] and py.degree(pr) == 0)
-        return diag + off
+        diag = [pr for pr in pairs if pr[0] == pr[1]]
+        return diag + [pr for pr in pairs if pr[0] != pr[1] and py.degree(pr) == 0]
     if part == "p_prime":
-        sel = [pr for pr in pairs if py.degree(pr) > 0]
-        sel.sort(key=lambda pr: (py.degree(pr), pr))
-        return sel
+        return sorted((pr for pr in pairs if py.degree(pr) > 0), key=py.degree)
     if part == "p":
         return graded_basis(py, "h") + graded_basis(py, "p_prime")
     raise ValueError(f"unknown part {part!r}; expected one of m, h, p, p_prime")

@@ -11,8 +11,9 @@ A row-equivalence class is named by its sorted rows (`_row_class_key`);
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .gl import BoxIndex, parity
 from .pyramid import Pyramid

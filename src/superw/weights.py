@@ -8,8 +8,8 @@ evaluating on the diagonal matrix e_{i,i} just reads the map.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .gl import BoxIndex, Pair, parity
 from .pyramid import Pyramid

@@ -155,6 +155,53 @@ def test_rational_rank():
     assert rational_rank([]) == 0
 
 
+def test_rational_rank_matches_sympy():
+    """Differential oracle: sympy's rank on seeded matrices of every shape from
+    0x1 to 8x8. Each is a product of random factors of a chosen inner size, so
+    many are rank-deficient, with some rows then zeroed, repeated or scaled by
+    a Fraction. Entries are small ints, Fractions, or ints up to 10**12."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    draws = {
+        "small": (lambda: rng.randint(-3, 3), lambda: rng.randint(-3, 3)),
+        "fraction": (
+            lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        ),
+        "large": (lambda: rng.randint(-1, 1), lambda: rng.randint(-10**12 // 8, 10**12 // 8)),
+    }
+    checked = deficient = biggest = 0
+    for nrows in range(9):
+        for ncols in range(1, 9):
+            for left_draw, right_draw in draws.values():
+                inner = rng.randint(0, min(nrows, ncols))
+                left = [[left_draw() for _ in range(inner)] for _ in range(nrows)]
+                right = [[right_draw() for _ in range(ncols)] for _ in range(inner)]
+                rows = [
+                    [sum((lr[t] * right[t][j] for t in range(inner)), 0) for j in range(ncols)]
+                    for lr in left
+                ]
+                for r in range(nrows):
+                    move = rng.choice(["keep", "keep", "zero", "repeat", "scale"])
+                    other = rows[rng.randrange(nrows)]
+                    if move == "zero":
+                        rows[r] = [0] * ncols
+                    elif move == "repeat":
+                        rows[r] = list(other)
+                    elif move == "scale":
+                        c = Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
+                        rows[r] = [c * v for v in other]
+                biggest = max([biggest] + [abs(v) for row in rows for v in row])
+                flat = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
+                expected = sympy.Matrix(nrows, ncols, flat).rank()
+                assert rational_rank(rows) == expected, rows
+                checked += 1
+                deficient += 0 < expected < min(nrows, ncols)
+    assert checked == 9 * 8 * 3
+    assert deficient > 50
+    assert 10**11 < biggest <= 10**12
+
+
 def closed_form_codims(py) -> tuple[int, int]:
     """(d0, d1) from the rows alone: the Jordan blocks of e_pi are the rows,
     so dim z = sum over ordered row pairs of min(p_i, p_j), split by parity."""
@@ -171,9 +218,9 @@ def closed_form_codims(py) -> tuple[int, int]:
 
 def test_centralizer_dims_match_closed_form(gl36):
     count = 0
-    for py in enumerate_pyramids(6):
+    for py in enumerate_pyramids(8):
         assert centralizer_dims(e_pi(py), py.M, py.N) == closed_form_codims(py), py
         count += 1
-    assert count > 500
+    assert count == 3000
     assert closed_form_codims(gl36) == (32, 26)
     assert centralizer_dims(e_pi(gl36), gl36.M, gl36.N) == (32, 26)
