@@ -12,7 +12,7 @@ and the supertrace form are computed from the structure constants
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Tuple
@@ -72,15 +72,8 @@ class LieSuperElement:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Pair, Scalar] | Iterable[tuple[Pair, Scalar]] = ()):
-        data: dict[Pair, Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for pair, c in items:
-            if c:
-                data[pair] = data.get(pair, 0) + c
-                if not data[pair]:
-                    del data[pair]
-        self.terms = data
+    def __init__(self, terms: Mapping[Pair, Scalar]):
+        self.terms = {pair: c for pair, c in terms.items() if c}
 
     def __iter__(self) -> Iterator[tuple[Pair, Scalar]]:
         return iter(self.terms.items())
@@ -101,26 +94,16 @@ class LieSuperElement:
         data = dict(self.terms)
         for pair, c in other.terms.items():
             data[pair] = data.get(pair, 0) + c
-            if not data[pair]:
-                del data[pair]
-        out = LieSuperElement.__new__(LieSuperElement)
-        out.terms = data
-        return out
+        return LieSuperElement(data)
 
     def __neg__(self) -> "LieSuperElement":
-        out = LieSuperElement.__new__(LieSuperElement)
-        out.terms = {pair: -c for pair, c in self.terms.items()}
-        return out
+        return LieSuperElement({pair: -c for pair, c in self.terms.items()})
 
     def __sub__(self, other: "LieSuperElement") -> "LieSuperElement":
         return self + (-other)
 
     def scaled(self, c: Scalar) -> "LieSuperElement":
-        if not c:
-            return LieSuperElement()
-        out = LieSuperElement.__new__(LieSuperElement)
-        out.terms = {pair: c * v for pair, v in self.terms.items()}
-        return out
+        return LieSuperElement({pair: c * v for pair, v in self.terms.items()})
 
     def __rmul__(self, c: Scalar) -> "LieSuperElement":
         return self.scaled(c)
@@ -156,13 +139,7 @@ def basis_indices(M: int, N: int) -> list[BoxIndex]:
 
 def bracket_pair(i: BoxIndex, j: BoxIndex, k: BoxIndex, l: BoxIndex) -> LieSuperElement:
     """Supercommutator [e_{i,j}, e_{k,l}] of two basis elements."""
-    out: dict[Pair, Scalar] = {}
-    if j == k:
-        out[(i, l)] = out.get((i, l), 0) + 1
-    if l == i:
-        sgn = -1 if (pair_parity(i, j) and pair_parity(k, l)) else 1
-        out[(k, j)] = out.get((k, j), 0) - sgn
-    return LieSuperElement(out)
+    return bracket(e(i, j), e(k, l))
 
 
 def bracket(x: LieSuperElement, y: LieSuperElement) -> LieSuperElement:
@@ -177,6 +154,22 @@ def bracket(x: LieSuperElement, y: LieSuperElement) -> LieSuperElement:
                 sgn = -1 if (pair_parity(i, j) and pair_parity(k, l)) else 1
                 acc[(k, j)] = acc.get((k, j), 0) - sgn * c
     return LieSuperElement(acc)
+
+
+def ad_matrix(x: LieSuperElement, src: list[Pair], tgt: list[Pair]) -> list[list[Scalar]] | None:
+    """Rows of ad x from span(src) into span(tgt): row k holds the coefficients
+    of [x, e(src[k])] on the pairs of tgt.  None when some image leaves span(tgt)."""
+    pos = {pair: k for k, pair in enumerate(tgt)}
+    rows = []
+    for pair in src:
+        row: list[Scalar] = [0] * len(tgt)
+        for t, c in bracket(x, e(*pair)).terms.items():
+            k = pos.get(t)
+            if k is None:
+                return None
+            row[k] = c
+        rows.append(row)
+    return rows
 
 
 def superform(x: LieSuperElement, y: LieSuperElement) -> Scalar:
@@ -235,16 +228,5 @@ def centralizer_dims(x: LieSuperElement, M: int, N: int) -> tuple[int, int]:
     idx = basis_indices(M, N)
     even_pairs = [(i, j) for i in idx for j in idx if not pair_parity(i, j)]
     odd_pairs = [(i, j) for i in idx for j in idx if pair_parity(i, j)]
-
-    def ad_rank(pairs: list[Pair]) -> int:
-        pos = {pair: k for k, pair in enumerate(pairs)}
-        cols = []
-        for pair in pairs:
-            img = bracket(x, LieSuperElement({pair: 1}))
-            colvec = [0] * len(pairs)
-            for tgt, c in img.terms.items():
-                colvec[pos[tgt]] = c
-            cols.append(colvec)
-        return rational_rank(cols)
-
-    return ad_rank(even_pairs), ad_rank(odd_pairs)
+    return (rational_rank(ad_matrix(x, even_pairs, even_pairs)),
+            rational_rank(ad_matrix(x, odd_pairs, odd_pairs)))

@@ -326,12 +326,18 @@ def tableau_from_eigenvalues(py: Pyramid, a) -> Tableau:
     return A
 
 
-def quotient_relation_check(a: EigenvalueData, extra: int = 2) -> bool:
+QUOTIENT_EXTRA_TERMS = 2
+
+
+def quotient_relation_check(a: EigenvalueData) -> bool:
     """The series quotient a_{j+1}(u)/a_j(u) must be polynomial of degree
-    at most p_{j+1} - p_j: its coefficients beyond that vanish."""
+    at most p_{j+1} - p_j: its coefficients beyond that vanish.  Those up
+    to u^{-p_{j+1}} already decide it, since a_{j+1}(u) and a_j(u) times the
+    truncated quotient then agree to that order and both have degree at most
+    p_{j+1} in u^{-1}; QUOTIENT_EXTRA_TERMS = 2 more are a cheap guard."""
     for j in range(len(a.levels) - 1):
         pj, pj1 = a.levels[j], a.levels[j + 1]
-        bound = pj1 + extra
+        bound = pj1 + QUOTIENT_EXTRA_TERMS
         dprime = d_prime_series(list(a.full[j]) + [0] * (bound - pj))
         for r in range(pj1 - pj + 1, bound + 1):
             if _quotient_coefficient(dprime, a.full[j + 1], r) != 0:

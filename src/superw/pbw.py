@@ -281,9 +281,6 @@ class UEAElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 

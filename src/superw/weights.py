@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .gl import BoxIndex, Pair, parity
+from .gl import BoxIndex, pair_parity, parity
 from .pyramid import Pyramid
 
 Scalar = int | Fraction
@@ -180,16 +180,11 @@ def root_partitions(py: Pyramid) -> RootPartition:
     return RootPartition(py)
 
 
-def root_parity(alpha: Pair) -> int:
-    i, j = alpha
-    return (parity(i) + parity(j)) & 1
-
-
 def signed_root_sum(roots, scale: Scalar = 1) -> Weight:
     """scale * sum over roots of (-1)^{tp(alpha)} alpha."""
     acc: dict[BoxIndex, Scalar] = {}
     for (i, j) in roots:
-        s = -scale if root_parity((i, j)) else scale
+        s = -scale if pair_parity(i, j) else scale
         acc[i] = acc.get(i, 0) + s
         acc[j] = acc.get(j, 0) - s
     return Weight(acc)

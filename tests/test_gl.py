@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from superw.gl import (
     LieSuperElement,
+    ad_matrix,
     basis_indices,
     bracket,
     centralizer_dims,
@@ -129,9 +130,20 @@ def test_element_arithmetic():
     x = e(P1, P2, Fraction(1, 2))
     assert (x - x).is_zero()
     assert (2 * x).terms[(P1, P2)] == 1
+    assert (0 * x).is_zero() and (-x).terms == {(P1, P2): Fraction(-1, 2)}
     assert x.homogeneous_parity() == 0
     mixed = e(P1, P2) + e(P1, M1)
     assert mixed.homogeneous_parity() is None
+
+
+def test_ad_matrix_rows_and_escape():
+    x = e(P1, P2)
+    diag = [(P1, P1), (P2, P2)]
+    # [e_{1,2}, e_{2,1}] = e_{1,1} - e_{2,2}; [e_{1,2}, e_{1,2}] = 0
+    assert ad_matrix(x, [(P2, P1), (P1, P2)], diag) == [[1, -1], [0, 0]]
+    # the image leaves span(e_{1,1}), so there is no matrix
+    assert ad_matrix(x, [(P2, P1)], [(P1, P1)]) is None
+    assert ad_matrix(x, [], []) == []
 
 
 def test_centralizer_dims_zero_element():

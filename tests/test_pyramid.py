@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from superw.gl import bracket, e, minus, plus
+import superw.pyramid as pyramid_mod
+from superw.gl import LieSuperElement, bracket, e, minus, plus
 from superw.pyramid import (
     ShiftMatrix,
     adjacent_pairs,
@@ -95,13 +96,52 @@ def test_flagship_e_pi(gl36):
     assert set(adjacent_pairs(gl36)) == set(expected)
 
 
-def test_flagship_h_pi_grades(gl36):
+def test_h_pi_grades(gl36):
+    # oracle for the eigenvalues good_pair_check reads off h_pi's diagonal:
+    # bracketing h_pi picks out the degree of every pair
     py = gl36
     h = h_pi(py)
-    # diagonal with entry -col_x(b) at each box: bracketing picks out degrees
+    # diagonal with entry -col_x(b) at each box
     assert h.terms == {(b, b): -py.col_x(b) for b in py.boxes}
-    for pr in all_pairs(py):
-        assert bracket(h, e(*pr)) == py.degree(pr) * e(*pr)
+    for py in enumerate_pyramids(6):
+        h = h_pi(py)
+        for pr in all_pairs(py):
+            assert bracket(h, e(*pr)) == py.degree(pr) * e(*pr), (py, pr)
+        assert bracket(h, e_pi(py)) == 2 * e_pi(py), py
+
+
+def test_good_pair_check_rejects_corrupted_pairs(gl36, monkeypatch):
+    py = gl36
+    ep, hp = e_pi(py), h_pi(py)
+
+    def verdict(e_new=ep, h_new=hp):
+        monkeypatch.setattr(pyramid_mod, "e_pi", lambda _: e_new)
+        monkeypatch.setattr(pyramid_mod, "h_pi", lambda _: h_new)
+        return good_pair_check(py)
+
+    assert verdict()
+    assert not verdict(h_new=2 * hp)
+    identity = LieSuperElement({(b, b): 1 for b in py.boxes})
+    # a central shift of h_pi keeps every eigenvalue; of e_pi it breaks
+    # [h, e] = 2e while leaving ad e unchanged
+    assert verdict(h_new=hp + identity)
+    assert not verdict(e_new=ep + identity)
+    # shifting h_pi on the top row keeps [h, e_pi] = 2 e_pi but moves the
+    # eigenvalues between rows off the grading
+    top_row = LieSuperElement({(b, b): 2 for b in py.boxes if py.row(b) == 1})
+    assert not verdict(h_new=hp + top_row)
+    adjacent = adjacent_pairs(py)
+    vertical = vertical_adjacent_pairs(py)[0]
+    for pr in adjacent:
+        assert not verdict(e_new=ep - e(*pr)), pr
+        assert not verdict(e_new=ep - e(*pr) + e(*vertical)), pr
+        # a rescaled edge keeps the grading good
+        assert verdict(e_new=ep + e(*pr)), pr
+    # includes off-diagonal terms that commute with e_pi, such as
+    # e(minus(1), minus(4)), so [h, e_pi] = 2 e_pi alone does not catch them
+    for (i, j) in all_pairs(py):
+        if i != j:
+            assert not verdict(h_new=hp + e(i, j)), (i, j)
 
 
 def test_flagship_chi(gl36):
