@@ -24,7 +24,6 @@ from .onedim import (
     eigenvalues_of,
     elementary_symmetric,
     quotient_relation_check,
-    solve_b,
     solve_b_shifted,
     symbolic_module_check,
     tableau_from_eigenvalues,
@@ -86,7 +85,6 @@ from .yangian import (
     RELATION_IDS,
     T,
     algebra_for,
-    d_prime,
     higher_E,
     higher_F,
     iter_relation_instances,

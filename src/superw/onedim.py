@@ -4,12 +4,16 @@ tableaux.
 A column-connected tableau A acts on its one-dimensional module with
 D_i^{(r)} eigenvalue (-1)^{r|i|} e_r of the row-i entries shifted by
 (-1)^{|i|} rhat(i).  In the b-coordinates b_{i,j} = (-1)^{|i|} a_{i,j} +
-rhat(i) this collapses to e_r(b_i) = a_i^{(r)}, which is what the solver
-inverts: a triangular solve for the elementary symmetric functions of the
-new values of each row, then factorization of the resulting monic
-polynomial into rational linear factors.  Data whose polynomial does
-not split over the rationals raises NonSplitError naming the exact
-factor left over.
+rhat(i) this collapses to e_r(b_i) = a_i^{(r)}, so the series
+a_i(u) = 1 + sum_r a_i^{(r)} u^{-r} is prod_j (1 + b_{i,j} u^{-1}).  Row i
+holds the values of row i-1 plus p_i - p_{i-1} new ones, so
+a_i(u) = q_i(u) a_{i-1}(u) with q_i a polynomial in u^{-1} of degree
+p_i - p_{i-1}.  The solver inverts this by one series division: q_i is
+a_i(u)/a_{i-1}(u) cut off after that degree, which the reduced prefix of
+row i already fixes, and the new values of row i are the roots of the
+monic polynomial with coefficients (-1)^r q_i^{(r)}, factored into
+rational linear factors.  Data whose polynomial does not split over the
+rationals raises NonSplitError naming the exact factor left over.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .pyramid import Pyramid
 from .scalars import format_scalar, parse_scalar
 from .tableau import Tableau, is_column_connected
 from .weights import Weight, lambda_A, rho_tilde
-from .yangian import D, E, F, d_prime_series
+from .yangian import D, E, F, series_quotient
 
 Scalar = int | Fraction
 
@@ -33,25 +37,33 @@ class NonSplitError(ValueError):
     """Raised when a row polynomial does not split over the rationals."""
 
 
-def elementary_symmetric(r: int, values: Sequence) -> Scalar:
-    """e_r of the given values; e_0 = 1."""
-    values = list(values)
-    if r < 0 or r > len(values):
-        raise ValueError(f"e_{r} undefined for {len(values)} values")
-    if r == 0:
-        return 1
-    # dp over (1 + v z) products: coefficient of z^r
-    coeffs = [1] + [0] * r
-    for v in values:
-        for k in range(min(r, len(coeffs) - 1), 0, -1):
+def elementary_symmetric(values: Sequence) -> list:
+    """[e_0, ..., e_n] of the n given values, the coefficients of
+    prod_v (1 + v z), in one pass."""
+    coeffs = [1] + [0] * len(values)
+    for n, v in enumerate(values, start=1):
+        for k in range(n, 0, -1):
             coeffs[k] = coeffs[k] + coeffs[k - 1] * v
-    return coeffs[r]
+    return coeffs
 
 
-def _quotient_coefficient(dprime: Sequence, a: Sequence, r: int) -> Scalar:
-    """[u^r] of a(u)·D'(u), with a(u) = 1 + a[0] u^{-1} + ... cut off after
-    len(a) terms: sum over t <= min(r, len(a)) of dprime[r-t]·a_t, a_0 = 1."""
-    return sum(dprime[r - t] * (a[t - 1] if t else 1) for t in range(min(r, len(a)) + 1))
+def _row_quotients(reduced: Sequence[list]) -> tuple[list[list], list[list]]:
+    """From the reduced rows, each quotient q_i(u) = a_i(u)/a_{i-1}(u) of
+    degree k = p_i - p_{i-1}, and each full row a_i = q_i·a_{i-1} (a_0 = 1).
+    Both are coefficient lists from u^0; the first k + 1 coefficients of
+    a_i(u) are 1 and the reduced row itself, and they fix q_i."""
+    quotients, full = [], []
+    prev = [1]
+    for row in reduced:
+        k = len(row)
+        q = series_quotient([1] + row, prev, k)
+        cur = [1] + row
+        for r in range(k + 1, k + len(prev)):
+            cur.append(sum(q[t] * prev[r - t] for t in range(max(0, r - len(prev) + 1), k + 1)))
+        quotients.append(q)
+        full.append(cur)
+        prev = cur
+    return quotients, full
 
 
 class EigenvalueData:
@@ -90,23 +102,11 @@ class EigenvalueData:
 
     @classmethod
     def from_reduced(cls, signs: str, levels: Sequence[int], reduced: Sequence[Sequence]) -> "EigenvalueData":
-        """Rebuild the full table: beyond the reduced range each value is
-        forced by the vanishing of the quotient-series coefficients."""
+        """Rebuild the full table: row i is q_i·a_{i-1}, with q_i the
+        quotient that the reduced prefix of row i fixes."""
         levels = tuple(int(p) for p in levels)
-        reduced = _check_reduced_shape(levels, reduced)
-        full: list[list] = []
-        for i, row in enumerate(reduced):
-            if i == 0:
-                full.append(list(row))
-                continue
-            prev_row = full[i - 1]
-            dprime = d_prime_series(prev_row + [0] * (levels[i] - len(prev_row)))
-            cur = list(row)
-            for r in range(len(cur) + 1, levels[i] + 1):
-                # cur holds a_1..a_{r-1}, so this is the coefficient without a_r
-                cur.append(-_quotient_coefficient(dprime, cur, r))
-            full.append(cur)
-        return cls("".join(signs), levels, full)
+        _, full = _row_quotients(_check_reduced_shape(levels, reduced))
+        return cls("".join(signs), levels, [row[1:] for row in full])
 
     def __eq__(self, other) -> bool:
         return (
@@ -143,12 +143,8 @@ def eigenvalues_of(A: Tableau) -> EigenvalueData:
     for i, row in enumerate(A.rows(), start=1):
         sgn = py.row_sign(i)
         shift = py.row_hat[i - 1] if sgn == 0 else -py.row_hat[i - 1]
-        shifted = [v + shift for v in row]
-        vals = []
-        for r in range(1, len(row) + 1):
-            er = elementary_symmetric(r, shifted)
-            vals.append(-er if (sgn and r % 2) else er)
-        full.append(vals)
+        es = elementary_symmetric([v + shift for v in row])
+        full.append([-er if (sgn and r % 2) else er for r, er in enumerate(es[1:], start=1)])
     return EigenvalueData(py.signs, py.p, full)
 
 
@@ -250,51 +246,17 @@ def _as_reduced_rows(signs: str, levels: Sequence[int], a) -> list[list]:
     return _check_reduced_shape(levels, a)
 
 
-def _solve_new_values(reduced_row: Sequence, inherited: Sequence) -> list:
-    """Values n_1..n_k with e_r(n ∪ inherited) = a^{(r)} for r = 1..k."""
-    k = len(reduced_row)
-    e_new = [1]
-    for r in range(1, k + 1):
-        acc = reduced_row[r - 1]
-        for s in range(0, r):
-            hi = r - s
-            if hi > len(inherited):
-                continue
-            acc -= e_new[s] * elementary_symmetric(hi, inherited)
-        e_new.append(acc)
-    # monic polynomial with the new values as roots
-    coeffs = [1]
-    for r in range(1, k + 1):
-        coeffs.append(e_new[r] if r % 2 == 0 else -e_new[r])
-    return sorted(_rational_roots(coeffs))
-
-
-def solve_b(signs: str, levels: Sequence[int], a) -> list[list]:
-    """Recover b_{i,j} from reduced eigenvalue data, inherited values
-    aligned at the row tails: b_{i, (p_i - p_{i-1}) + r} = b_{i-1, r}."""
-    signs = "".join(signs)
-    levels = tuple(int(p) for p in levels)
-    reduced = _as_reduced_rows(signs, levels, a)
-    rows: list[list] = []
-    prev: list = []
-    for i, red in enumerate(reduced):
-        new = _solve_new_values(red, prev)
-        cur = new + prev
-        if len(cur) != levels[i]:
-            raise AssertionError("row length bookkeeping failed")
-        rows.append(cur)
-        prev = cur
-    return rows
-
-
 def solve_b_shifted(py: Pyramid, a) -> list[list]:
-    """As solve_b, but inherited values occupy positions s_{i,i-1}+1 ..
-    s_{i,i-1}+p_{i-1}, mirroring the column alignment of the pyramid."""
-    reduced = _as_reduced_rows(py.signs, py.p, a)
+    """Recover b_{i,j} from reduced eigenvalue data: the new values of row i
+    are the roots of q_i, and the inherited values occupy positions
+    s_{i,i-1}+1 .. s_{i,i-1}+p_{i-1}, mirroring the column alignment of
+    the pyramid."""
+    quotients, _ = _row_quotients(_as_reduced_rows(py.signs, py.p, a))
     rows: list[list] = []
     prev: list = []
-    for i, red in enumerate(reduced, start=1):
-        new = _solve_new_values(red, prev)
+    for i, q in enumerate(quotients, start=1):
+        # prod_n (z - n) = sum_r (-1)^r q^{(r)} z^{k-r}
+        new = sorted(_rational_roots([-c if r % 2 else c for r, c in enumerate(q)]))
         if i == 1:
             cur = list(new)
         else:
@@ -337,11 +299,9 @@ def quotient_relation_check(a: EigenvalueData) -> bool:
     p_{j+1} in u^{-1}; QUOTIENT_EXTRA_TERMS = 2 more are a cheap guard."""
     for j in range(len(a.levels) - 1):
         pj, pj1 = a.levels[j], a.levels[j + 1]
-        bound = pj1 + QUOTIENT_EXTRA_TERMS
-        dprime = d_prime_series(list(a.full[j]) + [0] * (bound - pj))
-        for r in range(pj1 - pj + 1, bound + 1):
-            if _quotient_coefficient(dprime, a.full[j + 1], r) != 0:
-                return False
+        q = series_quotient((1,) + a.full[j + 1], (1,) + a.full[j], pj1 + QUOTIENT_EXTRA_TERMS)
+        if any(q[pj1 - pj + 1 :]):
+            return False
     return True
 
 

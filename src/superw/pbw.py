@@ -260,18 +260,6 @@ class UEAElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = identity(self.algebra)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = scalar_element(self.algebra, other)
@@ -286,9 +274,6 @@ class UEAElement:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((), 0)
 
     def parity(self) -> int | None:
         """Common parity of all monomials, None if mixed, 0 if zero."""

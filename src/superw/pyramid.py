@@ -297,6 +297,11 @@ def good_pair_check(py: Pyramid) -> bool:
     off-diagonal term its eigenvalues are read off its diagonal rather than
     bracketed out pair by pair.  The identity, a sum of the e_ii that each
     have degree 0, then sits in degree 0 without a bracket of its own.
+
+    Once [h_pi, e_pi] = 2 e_pi holds and every h_i - h_j equals the degree,
+    each term e_ij of e_pi has degree h_i - h_j = 2, and degrees add under
+    the bracket, so ad e_pi maps each degree block into the block two
+    above: ad_matrix cannot return None there.
     """
     ep = e_pi(py)
     hp = h_pi(py)
@@ -316,8 +321,7 @@ def good_pair_check(py: Pyramid) -> bool:
     for d, block in by_deg.items():
         target = by_deg.get(d + 2, [])
         rows = ad_matrix(ep, block, target)
-        if rows is None:
-            return False  # ad e_pi must raise degree by exactly 2
+        assert rows is not None
         rank = rational_rank(rows)
         if d <= -1 and rank != len(block):
             return False

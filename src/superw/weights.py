@@ -22,9 +22,8 @@ class Weight:
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: Mapping[BoxIndex, Scalar] = ()):
-        items = coords.items() if isinstance(coords, Mapping) else coords
-        self.coords = {b: c for b, c in items if c}
+    def __init__(self, coords: Mapping[BoxIndex, Scalar]):
+        self.coords = {b: c for b, c in coords.items() if c}
 
     def __getitem__(self, b: BoxIndex) -> Scalar:
         return self.coords.get(b, 0)

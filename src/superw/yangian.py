@@ -213,23 +213,27 @@ def higher_F(py: Pyramid, j: int, i: int, t: int) -> UEAElement:
 # -- inverse series -----------------------------------------------------
 
 
+def series_quotient(num, den, n: int) -> list:
+    """The coefficients of u^0, ..., u^{-n} in num(u)/den(u), where
+    num(u) = sum_r num[r] u^{-r}, den[0] = 1, and coefficients past either
+    list are 0.  Works for scalars and for commuting UEAElements; each
+    product is taken as den^{(t)}·quotient^{(r-t)}."""
+    out = []
+    for r in range(n + 1):
+        rest = sum(den[t] * out[r - t] for t in range(1, min(r, len(den) - 1) + 1))
+        out.append((num[r] if r < len(num) else 0) - rest)
+    return out
+
+
 def d_prime_series(series) -> list:
-    """[D'^{(0)}, ..., D'^{(r)}] from [D^{(1)}, ..., D^{(r)}]; works for
-    scalars and for UEAElements alike."""
+    """[D'^{(0)}, ..., D'^{(r)}] from [D^{(1)}, ..., D^{(r)}], the series
+    D'(u) = D(u)^{-1}; works for scalars and for UEAElements alike."""
     series = list(series)
     if series and isinstance(series[0], UEAElement):
         one = identity(series[0].algebra)
     else:
         one = 1
-    out = [one]
-    for r in range(1, len(series) + 1):
-        out.append(-sum(series[t - 1] * out[r - t] for t in range(1, r + 1)))
-    return out
-
-
-def d_prime(series):
-    """D'^{(r)} from the series D^{(1..r)}."""
-    return d_prime_series(series)[-1]
+    return series_quotient([one], [one] + series, len(series))
 
 
 # -- relations ----------------------------------------------------------

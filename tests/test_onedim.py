@@ -13,7 +13,6 @@ from superw.onedim import (
     eigenvalues_of,
     elementary_symmetric,
     quotient_relation_check,
-    solve_b,
     solve_b_shifted,
     symbolic_module_check,
     tableau_from_eigenvalues,
@@ -27,13 +26,9 @@ WORKED_REDUCED = ((2, 1), (3,), (-1,))
 
 
 def test_elementary_symmetric():
-    vals = [1, 2, 3]
-    assert elementary_symmetric(0, vals) == 1
-    assert elementary_symmetric(1, vals) == 6
-    assert elementary_symmetric(2, vals) == 11
-    assert elementary_symmetric(3, vals) == 6
-    with pytest.raises(ValueError):
-        elementary_symmetric(4, vals)
+    assert elementary_symmetric([1, 2, 3]) == [1, 6, 11, 6]
+    assert elementary_symmetric([Fraction(1, 2), -2]) == [1, Fraction(-3, 2), -1]
+    assert elementary_symmetric([]) == [1]
 
 
 @given(st.lists(st.fractions(max_denominator=20), min_size=1, max_size=5))
@@ -45,9 +40,9 @@ def test_elementary_symmetric_generates_polynomial(vals):
     direct = 1
     for v in vals:
         direct *= t - v
-    viasym = sum(
-        (-1) ** k * elementary_symmetric(k, vals) * t ** (n - k) for k in range(n + 1)
-    )
+    es = elementary_symmetric(vals)
+    assert len(es) == n + 1
+    viasym = sum((-1) ** k * es[k] * t ** (n - k) for k in range(n + 1))
     assert direct == viasym
 
 
@@ -90,29 +85,33 @@ def test_quotient_relation_perturbations(gl36):
     assert not quotient_relation_check(broken)
 
 
+def _one_row(length: int, sign: str):
+    return from_shift([[0]], length, sign)
+
+
 def test_solve_b_examples():
     # the b-side polynomial t^2 - 3t + 2 splits as (t-1)(t-2) either way:
     # the parity sign lives in the a <-> entry conversion, not in e_r(b)
-    assert solve_b("0", (2,), [[3, 2]]) == [[1, 2]]
-    assert solve_b("1", (2,), [[3, 2]]) == [[1, 2]]
+    assert solve_b_shifted(_one_row(2, "0"), [[3, 2]]) == [[1, 2]]
+    assert solve_b_shifted(_one_row(2, "1"), [[3, 2]]) == [[1, 2]]
 
 
 def test_solve_b_non_split():
     with pytest.raises(NonSplitError):
-        solve_b("0", (2,), [[0, 1]])  # b^2 + 1 has no rational roots
+        solve_b_shifted(_one_row(2, "0"), [[0, 1]])  # b^2 + 1 has no rational roots
     # (z - 1)(z^2 + 1): the rational root is divided out and the message
     # ends in the exact residual z^2 + 1
     with pytest.raises(NonSplitError, match=r": 1 0 1$"):
-        solve_b("0", (3,), [[1, 1, 1]])
+        solve_b_shifted(_one_row(3, "0"), [[1, 1, 1]])
 
 
 def test_solvers_reject_misshapen_reduced_rows(gl36):
     # the flagship's reduced rows hold 2, 1 and 1 values
     for bad in ([[1]], [[2, 1, 5], [3], [-1]], [[2, 1], [3], [-1], [0]], [[2, 1], [], [-1]]):
         with pytest.raises(ValueError, match="reduced row"):
-            solve_b(gl36.signs, gl36.p, bad)
-        with pytest.raises(ValueError, match="reduced row"):
             solve_b_shifted(gl36, bad)
+        with pytest.raises(ValueError, match="reduced row"):
+            EigenvalueData.from_reduced(gl36.signs, gl36.p, bad)
 
 
 def _fraction(q) -> Fraction:
@@ -236,3 +235,40 @@ def test_round_trip_on_random_tableaux():
         assert row_equivalent(A, B)
         assert eigenvalues_of(B) == data
         assert quotient_relation_check(data)
+
+
+def test_quotient_relation_check_matches_sympy(gl36):
+    """Differential oracle for the quotient check: with
+    A_j(x) = 1 + sum_r a_j^{(r)} x^r, sympy's polynomial division of
+    A_{j+1} by A_j must leave remainder 0 and a quotient of degree at most
+    p_{j+1} - p_j, for every j.  Tables come from eigenvalues_of on seeded
+    tableaux, and again with one non-reduced slot changed."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def oracle(data):
+        polys = [sympy.Poly(list(reversed((1,) + row)), x, domain="QQ") for row in data.full]
+        for j in range(len(polys) - 1):
+            quotient, remainder = sympy.div(polys[j + 1], polys[j])
+            if not remainder.is_zero or quotient.degree() > data.levels[j + 1] - data.levels[j]:
+                return False
+        return True
+
+    rng = random.Random(13)
+    pool = [py for py in enumerate_pyramids(5) if py.nrows > 1] + [gl36]
+    verdicts = []
+    for _ in range(300):
+        py = rng.choice(pool)
+        data = eigenvalues_of(_random_cc(py, rng))
+        assert quotient_relation_check(data) and oracle(data)
+        slots = [(i, r) for i in range(1, py.nrows) for r in range(py.p[i] - py.p[i - 1], py.p[i])]
+        if not slots:
+            continue
+        i, r = rng.choice(slots)
+        full = [list(row) for row in data.full]
+        full[i][r] += rng.choice((1, -1, Fraction(1, 2), Fraction(-2, 3)))
+        bad = EigenvalueData(py.signs, py.p, full)
+        verdict = quotient_relation_check(bad)
+        assert verdict == oracle(bad), (py, full)
+        verdicts.append(verdict)
+    assert verdicts.count(False) > 150

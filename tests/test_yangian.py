@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superw import yangian
 from superw.gl import e, minus, plus
@@ -16,13 +17,13 @@ from superw.yangian import (
     RELATION_IDS,
     T,
     algebra_for,
-    d_prime,
     d_prime_series,
     generator_parity,
     higher_E,
     higher_F,
     iter_relation_instances,
     relation_report,
+    series_quotient,
     truncation_vanishing,
     verify_relation,
 )
@@ -78,7 +79,7 @@ def test_generators_land_in_U_p(gl36):
 
 def test_d_prime_series_scalars():
     assert d_prime_series([2, 1]) == [1, -2, 3]
-    assert d_prime([2, 1]) == 3
+    assert d_prime_series([2, 1])[-1] == 3
     assert d_prime_series([]) == [1]
 
 
@@ -98,6 +99,21 @@ def test_d_prime_series_inverts_padded_series(seed):
     # closed form: (1 + a u^{-1})^{-1} = sum_k (-a)^k u^{-k}
     a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     assert d_prime_series([a, 0, 0, 0]) == [(-a) ** k for k in range(5)]
+
+
+_fractions = st.fractions(max_denominator=12, min_value=-20, max_value=20)
+
+
+@given(st.lists(_fractions, max_size=6), st.lists(_fractions, max_size=5), st.integers(0, 9))
+@settings(max_examples=120)
+def test_series_quotient_times_denominator_is_numerator(num, den_tail, n):
+    # q·den ≡ num mod u^{-(n+1)}, with coefficients past either list 0
+    den = [1] + den_tail
+    q = series_quotient(num, den, n)
+    assert len(q) == n + 1
+    pad = lambda c, r: c[r] if r < len(c) else 0
+    for r in range(n + 1):
+        assert sum(pad(den, t) * q[r - t] for t in range(r + 1)) == pad(num, r)
 
 
 def test_d_prime_inverts_generators(gl36, alg36):
