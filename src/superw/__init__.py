@@ -39,13 +39,11 @@ from .pbw import (
     is_W_invariant,
     pr_chi,
     supercommutator,
-    twisted_action,
 )
 from .pyramid import (
     Pyramid,
     ShiftMatrix,
     adjacent_pairs,
-    chi,
     e_pi,
     enumerate_pyramids,
     enumerate_shapes,
@@ -58,25 +56,17 @@ from .pyramid import (
 from .scalars import format_scalar, parse_scalar
 from .tableau import (
     Tableau,
-    canonical_row_form,
     classify,
     find_cc_representative,
     is_column_connected,
     row_equivalent,
 )
 from .weights import (
-    RootPartition,
     Weight,
-    beta,
-    delta,
     eta,
     is_onedim_h_weight,
     lambda_A,
-    rho_bar,
-    rho_h,
     rho_tilde,
-    root_partitions,
-    signed_root_sum,
 )
 from .yangian import (
     D,
@@ -90,7 +80,6 @@ from .yangian import (
     iter_relation_instances,
     relation_report,
     truncation_vanishing,
-    verify_relation,
 )
 
 __version__ = "0.1.0"

@@ -87,9 +87,6 @@ class LieSuperElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, LieSuperElement) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "LieSuperElement") -> "LieSuperElement":
         data = dict(self.terms)
         for pair, c in other.terms.items():

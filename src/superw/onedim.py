@@ -381,7 +381,7 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
     return Weight(dict(assignment))
 
 
-def symbolic_module_check(A: Tableau, extra_levels: int = 0) -> bool:
+def symbolic_module_check(A: Tableau) -> bool:
     """Fully symbolic check that A's one-dimensional module has the
     predicted generator action: each D_i^{(r)} evaluates (through the
     weight lambda_A - rho_tilde) to the formula eigenvalue, and the E/F
@@ -397,11 +397,8 @@ def symbolic_module_check(A: Tableau, extra_levels: int = 0) -> bool:
             if got != data.full[i - 1][r - 1]:
                 return False
     for i in range(1, py.nrows):
-        for extra in range(0, extra_levels + 1):
-            s_e = py.shift.s(i, i + 1) + 1 + extra
-            if evaluate_one_dim(py, E(py, i, s_e), lam) != 0:
-                return False
-            s_f = py.shift.s(i + 1, i) + 1 + extra
-            if evaluate_one_dim(py, F(py, i, s_f), lam) != 0:
-                return False
+        if evaluate_one_dim(py, E(py, i, py.shift.s(i, i + 1) + 1), lam) != 0:
+            return False
+        if evaluate_one_dim(py, F(py, i, py.shift.s(i + 1, i) + 1), lam) != 0:
+            return False
     return True

@@ -45,7 +45,6 @@ from .gl import (
 )
 from .gl import e as lie_e
 from .pyramid import Pyramid, e_pi, graded_basis
-from .weights import Weight, is_onedim_h_weight
 
 Scalar = int | Fraction
 
@@ -333,21 +332,6 @@ def from_lie(alg: EnvelopingAlgebra, x: LieSuperElement) -> UEAElement:
     return UEAElement(alg, {(alg.index[pr],): c for pr, c in x.terms.items()})
 
 
-def from_factors(alg: EnvelopingAlgebra, factors: Iterable[tuple[Pair, int]], c: Scalar = 1) -> UEAElement:
-    """Build c times the normal monomial with the given (pair, exponent) factors."""
-    flat: list[int] = []
-    prev = -1
-    for pr, exp in factors:
-        idx = alg.index[pr]
-        if idx <= prev:
-            raise ValueError("factors must be in strictly increasing canonical order")
-        if alg.parities[idx] and exp != 1:
-            raise ValueError(f"odd pair {pr} cannot carry exponent {exp}")
-        flat.extend([idx] * exp)
-        prev = idx
-    return UEAElement(alg, {tuple(flat): c})
-
-
 # -- module operations --------------------------------------------------
 
 
@@ -405,30 +389,6 @@ def pr_chi(py: Pyramid, u: UEAElement) -> UEAElement:
     return UEAElement._raw(alg, acc)
 
 
-def _as_m_element(alg: EnvelopingAlgebra, a) -> UEAElement:
-    if isinstance(a, UEAElement):
-        el = a
-    elif isinstance(a, LieSuperElement):
-        el = from_lie(alg, a)
-    elif isinstance(a, tuple) and a in alg.index:
-        el = generator(alg, *a)
-    else:
-        raise TypeError(f"cannot interpret {a!r} as an m-basis element")
-    pc = alg.p_count
-    for mono in el.terms:
-        if len(mono) != 1 or mono[0] < pc:
-            raise ValueError("twisting element must be supported on the m-basis")
-    return el
-
-
-def twisted_action(py: Pyramid, a, y: UEAElement) -> UEAElement:
-    """a . y = pr_chi([a, y]) for a in m, y in U(p)."""
-    if not y.in_U_p():
-        raise ValueError("y must lie in U(p)")
-    a_el = _as_m_element(_algebra_over(py, y), a)
-    return pr_chi(py, supercommutator(a_el, y))
-
-
 def is_W_invariant(py: Pyramid, y: UEAElement) -> bool:
     """True iff y in U(p) is invariant under the chi-twisted m-action."""
     if not y.in_U_p():
@@ -441,20 +401,15 @@ def is_W_invariant(py: Pyramid, y: UEAElement) -> bool:
     return True
 
 
-def evaluate_one_dim(py: Pyramid, u: UEAElement, diag, strict: bool = False) -> Scalar:
+def evaluate_one_dim(py: Pyramid, u: UEAElement, diag) -> Scalar:
     """Evaluate u in U(p) on the one-dimensional p-module where the diagonal
     e_{i,i} acts by diag[i] and everything off-diagonal acts by zero.
 
     Evaluation reads the straightened normal form of u as given; it does
-    not use any multiplicativity shortcut.  With strict=True the diagonal
-    values are first checked to define a genuine one-dimensional h-weight.
+    not use any multiplicativity shortcut.
     """
     if not u.in_U_p():
         raise ValueError("u must lie in U(p)")
-    if strict:
-        lam = diag if isinstance(diag, Weight) else Weight({b: diag[b] for b in py.boxes})
-        if not is_onedim_h_weight(py, lam):
-            raise ValueError("diag does not satisfy the one-dimensionality constraints")
     alg = _algebra_over(py, u)
     nd = alg.ndiag
     total: Scalar = 0

@@ -22,7 +22,6 @@ from .gl import (
     minus,
     plus,
     rational_rank,
-    superform,
 )
 
 
@@ -280,11 +279,6 @@ def graded_basis(py: Pyramid, part: str) -> list[Pair]:
     if part == "p":
         return graded_basis(py, "h") + graded_basis(py, "p_prime")
     raise ValueError(f"unknown part {part!r}; expected one of m, h, p, p_prime")
-
-
-def chi(py: Pyramid, x: LieSuperElement):
-    """The character chi(x) = (e_pi, x) under the supertrace form."""
-    return superform(e_pi(py), x)
 
 
 def good_pair_check(py: Pyramid) -> bool:

@@ -72,9 +72,6 @@ class Tableau:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.pyramid, tuple(self.entries[b] for b in self.pyramid.boxes)))
-
     def __repr__(self):
         return f"Tableau({self.rows()})"
 
@@ -94,11 +91,6 @@ class Tableau:
 def _row_class_key(A: Tableau) -> tuple:
     """Each row sorted ascending: the name of the row-equivalence class of A."""
     return tuple(tuple(sorted(row)) for row in A.rows())
-
-
-def canonical_row_form(A: Tableau) -> Tableau:
-    """The representative of A's row-equivalence class with sorted rows."""
-    return Tableau.from_rows(A.pyramid, _row_class_key(A))
 
 
 def row_equivalent(A: Tableau, B: Tableau) -> bool:

@@ -410,12 +410,6 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
     return {"rel": rel, "indices": indices, "ok": bool(ok), "variants": variants}
 
 
-def verify_relation(py: Pyramid, rel: str, **kw) -> bool:
-    """Verdict for one relation instance (the resolved reading for the two
-    suspect formulas; use relation_report to see all readings)."""
-    return relation_report(py, rel, **kw)["ok"]
-
-
 def truncation_vanishing(py: Pyramid, r: int) -> bool:
     """T_{1,1;0}^{(r)} must vanish for levels beyond the top row length."""
     if r <= py.p[0]:

@@ -13,6 +13,7 @@ import pytest
 
 from superw.pyramid import enumerate_pyramids, from_shift
 from superw.tableau import Tableau
+from superw.yangian import algebra_for
 
 # flagship example used throughout: p = (2, 3, 4), minus/plus/minus rows
 FLAG_SHIFT = [[0, 1, 1], [0, 0, 0], [1, 1, 0]]
@@ -36,6 +37,11 @@ def gl36():
 @pytest.fixture(scope="session")
 def py4():
     return from_shift(PY4_SHIFT, PY4_ELL, PY4_SIGNS)
+
+
+@pytest.fixture(scope="module")
+def alg36(gl36):
+    return algebra_for(gl36)
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,8 @@ from superw.onedim import (
 from superw.pyramid import enumerate_pyramids, from_shift
 from superw.tableau import Tableau, is_column_connected, row_equivalent
 
+from helpers import next_level_vanishes, random_cc
+
 WORKED_FULL = ((2, 1), (3, 3, 1), (-1, -9, -11, -4))
 WORKED_REDUCED = ((2, 1), (3,), (-1,))
 
@@ -203,24 +205,11 @@ def test_weight_space_search(gl36, worked_tableau):
 
 def test_symbolic_module_check(gl36, worked_tableau):
     assert symbolic_module_check(worked_tableau)
-    assert symbolic_module_check(worked_tableau, extra_levels=1)
+    assert next_level_vanishes(worked_tableau)
     rows = worked_tableau.rows()
     rows[2] = [-2, 3, -2, -2]
     with pytest.raises(ValueError):
         symbolic_module_check(Tableau.from_rows(gl36, rows))  # not column-connected
-
-
-def _random_cc(py, rng):
-    rows = [[None] * p for p in py.p]
-    for c in range(1, py.ell + 1):
-        val = Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3)))
-        prev = None
-        for r in py.column_rows(c):
-            if prev is not None:
-                val = val - 1 if py.row_sign(prev) == py.row_sign(r) else -1 - val
-            rows[r - 1][c - py.row_first_col[r - 1]] = val
-            prev = r
-    return Tableau.from_rows(py, rows)
 
 
 def test_round_trip_on_random_tableaux():
@@ -228,7 +217,7 @@ def test_round_trip_on_random_tableaux():
     pool = list(enumerate_pyramids(5))
     for _ in range(120):
         py = rng.choice(pool)
-        A = _random_cc(py, rng)
+        A = random_cc(py, rng)
         assert is_column_connected(A)
         data = eigenvalues_of(A)
         B = tableau_from_eigenvalues(py, data)
@@ -259,7 +248,7 @@ def test_quotient_relation_check_matches_sympy(gl36):
     verdicts = []
     for _ in range(300):
         py = rng.choice(pool)
-        data = eigenvalues_of(_random_cc(py, rng))
+        data = eigenvalues_of(random_cc(py, rng))
         assert quotient_relation_check(data) and oracle(data)
         slots = [(i, r) for i in range(1, py.nrows) for r in range(py.p[i] - py.p[i - 1], py.p[i])]
         if not slots:

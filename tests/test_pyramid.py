@@ -5,12 +5,11 @@ import itertools
 import pytest
 
 import superw.pyramid as pyramid_mod
-from superw.gl import LieSuperElement, bracket, e, minus, plus
+from superw.gl import LieSuperElement, bracket, e, minus, plus, superform
 from superw.pyramid import (
     ShiftMatrix,
     adjacent_pairs,
     all_pairs,
-    chi,
     e_pi,
     enumerate_pyramids,
     enumerate_shapes,
@@ -146,9 +145,11 @@ def test_good_pair_check_rejects_corrupted_pairs(gl36, monkeypatch):
 
 def test_flagship_chi(gl36):
     py = gl36
-    assert chi(py, e(plus(2), plus(1))) == 1
-    assert chi(py, e(minus(4), minus(2))) == -1
-    assert chi(py, e(plus(1), plus(2))) == 0
+    # chi(x) = (e_pi, x) under the supertrace form
+    ep = e_pi(py)
+    assert superform(ep, e(plus(2), plus(1))) == 1
+    assert superform(ep, e(minus(4), minus(2))) == -1
+    assert superform(ep, e(plus(1), plus(2))) == 0
     assert good_pair_check(py)
 
 

@@ -10,7 +10,6 @@ from superw.pyramid import enumerate_pyramids, from_shift
 from superw.tableau import (
     Tableau,
     _column_chain,
-    canonical_row_form,
     classify,
     find_cc_representative,
     is_column_connected,
@@ -51,8 +50,9 @@ def test_no_representative_when_contents_cannot_chain(gl36):
 
 
 def test_canonical_row_form_and_equivalence(gl36, worked_tableau):
-    canon = canonical_row_form(worked_tableau)
+    canon = Tableau.from_rows(gl36, [sorted(row) for row in worked_tableau.rows()])
     assert canon.rows() == [[-2, -2], [1, 1, 1], [-2, -2, -2, 3]]
+    assert row_equivalent(worked_tableau, canon)
     rows = worked_tableau.rows()
     rows[1] = rows[1][::-1]
     assert row_equivalent(worked_tableau, Tableau.from_rows(gl36, rows))
@@ -179,7 +179,8 @@ def _classify_per_column(py, entry_pool):
         for c, chain in enumerate(combo, start=1):
             for r, v in zip(py.column_rows(c), chain):
                 entries[py.box_at(r, c)] = v
-        canon = canonical_row_form(Tableau(py, entries))
+        A = Tableau(py, entries)
+        canon = Tableau.from_rows(py, [sorted(row) for row in A.rows()])
         key = tuple(tuple(row) for row in canon.rows())
         if key not in seen:
             seen.add(key)

@@ -1,4 +1,5 @@
-"""Weight-shift oracles: eta, rho_h, delta, beta, and the root half-sums."""
+"""Shift weights eta and rho_tilde, checked against the oracle weights
+rho_h, delta, beta, rho_bar and the root half-sums of weight_oracle."""
 
 from fractions import Fraction
 
@@ -7,19 +8,9 @@ import pytest
 from superw.gl import minus, parity, plus
 from superw.pyramid import enumerate_pyramids, vertical_adjacent_pairs
 from superw.tableau import Tableau, is_column_connected
-from superw.weights import (
-    Weight,
-    beta,
-    delta,
-    eta,
-    is_onedim_h_weight,
-    lambda_A,
-    rho_bar,
-    rho_h,
-    rho_tilde,
-    root_partitions,
-    signed_root_sum,
-)
+from superw.weights import Weight, eta, is_onedim_h_weight, lambda_A, rho_tilde
+
+from weight_oracle import RootPartition, beta, delta, rho_bar, rho_h, signed_root_sum
 
 HALF = Fraction(1, 2)
 
@@ -69,7 +60,7 @@ def test_flagship_rho_tilde_coordinates(gl36):
 
 
 def test_root_partition_structure(gl36):
-    rp = root_partitions(gl36)
+    rp = RootPartition(gl36)
     roots = rp.all_roots()
     assert len(roots) == 81 - 9
     assert rp.row_plus | rp.row_zero | rp.row_minus == roots
@@ -91,7 +82,7 @@ def test_signed_root_sum_single_roots():
 
 def test_half_sum_identities_small_sweep():
     for py in enumerate_pyramids(5):
-        rp = root_partitions(py)
+        rp = RootPartition(py)
         upper = rp.col_zero & rp.row_plus
         assert beta(py) == signed_root_sum(rp.col_minus)
         assert rho_bar(py) == signed_root_sum(rp.col_plus | upper, HALF) - delta(py)

@@ -25,13 +25,7 @@ from superw.yangian import (
     relation_report,
     series_quotient,
     truncation_vanishing,
-    verify_relation,
 )
-
-
-@pytest.fixture(scope="module")
-def alg36(gl36):
-    return algebra_for(gl36)
 
 
 def _diag(alg, *boxes):
@@ -135,11 +129,11 @@ def test_relation_ids_registry():
     assert "ff-super-serre" in RELATION_IDS
 
 
-def test_verify_relation_normalizes_names(gl36):
-    assert verify_relation(gl36, "dd-comm", i=1, j=2, r=1, s=1)
-    assert verify_relation(gl36, " (dd-comm) ", i=1, j=2, r=1, s=1)
+def test_relation_report_normalizes_names(gl36):
+    assert relation_report(gl36, "dd-comm", i=1, j=2, r=1, s=1)["ok"]
+    assert relation_report(gl36, " (dd-comm) ", i=1, j=2, r=1, s=1)["ok"]
     with pytest.raises(ValueError):
-        verify_relation(gl36, "no-such-relation", i=1, r=1)
+        relation_report(gl36, "no-such-relation", i=1, r=1)
 
 
 def test_relation_report_shape(gl36):
@@ -178,11 +172,11 @@ def test_distant_relations_need_four_rows(gl36):
     py4 = from_shift(
         [[0, 0, 1, 2], [0, 0, 1, 2], [0, 0, 0, 1], [1, 1, 1, 0]], 4, "0101"
     )
-    assert verify_relation(py4, "ee-distant", i=1, j=3, r=1, s=2)
-    assert verify_relation(py4, "ff-distant", i=1, j=3, r=1, s=2)
+    assert relation_report(py4, "ee-distant", i=1, j=3, r=1, s=2)["ok"]
+    assert relation_report(py4, "ff-distant", i=1, j=3, r=1, s=2)["ok"]
     # the four-row pyramid also hosts the odd serre variants at i = 2
-    assert verify_relation(py4, "ee-super-serre", i=2, r=1, s=2)
-    assert verify_relation(py4, "ff-super-serre", i=2, r=1, s=2)
+    assert relation_report(py4, "ee-super-serre", i=2, r=1, s=2)["ok"]
+    assert relation_report(py4, "ff-super-serre", i=2, r=1, s=2)["ok"]
 
 
 def test_truncation(gl36, alg36):
