@@ -77,10 +77,10 @@ def eta(py: Pyramid) -> Weight:
 
 
 def _suffix_q(py: Pyramid) -> dict[int, Scalar]:
-    """suffix[c] = q_check[c] + ... + q_check[ell], for c = 0..ell+1."""
+    """suffix[c] = q_check[c] + ... + q_check[ell], for c = 1..ell+1."""
     out = {py.ell + 1: 0}
-    for c in range(py.ell, -1, -1):
-        out[c] = out[c + 1] + (py.q_check[c - 1] if c >= 1 else 0)
+    for c in range(py.ell, 0, -1):
+        out[c] = out[c + 1] + py.q_check[c - 1]
     return out
 
 
