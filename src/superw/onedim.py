@@ -324,7 +324,6 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
             raise ValueError(f"row {i} content must have {py.p[i - 1]} values")
 
     columns = sorted(range(1, py.ell + 1), key=lambda c: (-len(py.column_rows(c)), c))
-    col_boxes = {c: [py.box_at(r, c) for r in py.column_rows(c)] for c in columns}
     dead: set = set()
 
     def state_key(pos: int):
@@ -343,7 +342,7 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
         if key in dead:
             return False
         c = columns[pos]
-        boxes = col_boxes[c]
+        boxes = py.column_boxes[c - 1]
         b0 = boxes[0]
         sgn0 = -1 if b0.sign else 1
         seen = set()

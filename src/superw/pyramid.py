@@ -39,7 +39,7 @@ class ShiftMatrix:
             if len(row) != n:
                 raise ValueError("shift matrix must be square")
             for v in row:
-                if not isinstance(v, int) or v < 0:
+                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                     raise ValueError(f"shift entries must be nonnegative integers, got {v!r}")
         for i in range(n):
             if self.entries[i][i] != 0:
@@ -59,7 +59,7 @@ class ShiftMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ShiftMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def size(self) -> int:
@@ -77,8 +77,6 @@ class Pyramid:
     """Immutable pyramid with all derived combinatorial data precomputed."""
 
     def __init__(self, shift: ShiftMatrix, ell: int, signs: str):
-        if isinstance(signs, (list, tuple)):
-            signs = "".join(str(int(v)) for v in signs)
         if not isinstance(signs, str) or any(ch not in "01" for ch in signs):
             raise ValueError("signs must be a word over {0,1}")
         nrows = shift.size
@@ -111,15 +109,16 @@ class Pyramid:
         self.h_shift = self.m - self.n
 
         # Box numbering: down columns, left to right, each parity independently.
+        # The same pass lays out the box grid: row_boxes[i-1] holds row i left
+        # to right, column_boxes[c-1] holds column c top to bottom.
         pos_of: dict[BoxIndex, tuple[int, int]] = {}
-        at: dict[tuple[int, int], BoxIndex] = {}
-        col_top: list[int] = []
+        rows: list[list[BoxIndex]] = [[] for _ in range(nrows)]
+        columns: list[tuple[BoxIndex, ...]] = []
         np_, nm = 0, 0
         for c in range(1, ell + 1):
+            column = []
             for r in range(1, nrows + 1):
                 if first[r - 1] <= c <= last[r - 1]:
-                    if len(col_top) < c:
-                        col_top.append(r)
                     if signs[r - 1] == "0":
                         np_ += 1
                         b = plus(np_)
@@ -127,12 +126,14 @@ class Pyramid:
                         nm += 1
                         b = minus(nm)
                     pos_of[b] = (r, c)
-                    at[(r, c)] = b
+                    rows[r - 1].append(b)
+                    column.append(b)
+            columns.append(tuple(column))
         self.M = np_
         self.N = nm
         self._pos = pos_of
-        self._at = at
-        self._col_top = tuple(col_top)
+        self.row_boxes = tuple(map(tuple, rows))
+        self.column_boxes = tuple(columns)
         self.boxes = tuple(sorted(pos_of))  # 1 .. M, then 1bar .. Nbar
 
         q = [0] * ell
@@ -156,13 +157,15 @@ class Pyramid:
         return self._pos[b][1]
 
     def box_at(self, row: int, col: int) -> BoxIndex:
-        try:
-            return self._at[(row, col)]
-        except KeyError:
-            raise KeyError(f"no box at row {row}, column {col}") from None
+        if not self.has_box(row, col):
+            raise KeyError(f"no box at row {row}, column {col}")
+        return self.row_boxes[row - 1][col - self.row_first_col[row - 1]]
 
     def has_box(self, row: int, col: int) -> bool:
-        return (row, col) in self._at
+        return (
+            1 <= row <= self.nrows
+            and self.row_first_col[row - 1] <= col <= self.row_last_col[row - 1]
+        )
 
     def col_x_of_col(self, c: int) -> int:
         return 2 * c - self.ell - 1
@@ -187,7 +190,7 @@ class Pyramid:
         the bottom row, which spans the full width."""
         if not 1 <= c <= self.ell:
             raise KeyError(f"column {c} out of range")
-        return range(self._col_top[c - 1], self.nrows + 1)
+        return range(self.nrows + 1 - len(self.column_boxes[c - 1]), self.nrows + 1)
 
     # -- equality / serialization ---------------------------------------
 
@@ -229,21 +232,12 @@ def from_shift(shift, ell: int, signs) -> Pyramid:
 
 def adjacent_pairs(py: Pyramid) -> list[Pair]:
     """Horizontally adjacent same-row box pairs (left, right)."""
-    out = []
-    for r in range(1, py.nrows + 1):
-        for c in range(py.row_first_col[r - 1], py.row_last_col[r - 1]):
-            out.append((py.box_at(r, c), py.box_at(r, c + 1)))
-    return out
+    return [pr for boxes in py.row_boxes for pr in zip(boxes, boxes[1:])]
 
 
 def vertical_adjacent_pairs(py: Pyramid) -> list[Pair]:
     """Vertically adjacent box pairs (upper, lower), column by column."""
-    out = []
-    for c in range(1, py.ell + 1):
-        rows = list(py.column_rows(c))
-        for upper, lower in zip(rows, rows[1:]):
-            out.append((py.box_at(upper, c), py.box_at(lower, c)))
-    return out
+    return [pr for boxes in py.column_boxes for pr in zip(boxes, boxes[1:])]
 
 
 def e_pi(py: Pyramid) -> LieSuperElement:

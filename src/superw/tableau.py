@@ -41,26 +41,14 @@ class Tableau:
         if len(rows) != py.nrows:
             raise ValueError(f"expected {py.nrows} rows, got {len(rows)}")
         entries = {}
-        for i, row in enumerate(rows, start=1):
-            if len(row) != py.p[i - 1]:
-                raise ValueError(f"row {i} must have {py.p[i - 1]} entries, got {len(row)}")
-            for k, v in enumerate(row):
-                entries[py.box_at(i, py.row_first_col[i - 1] + k)] = v
+        for i, (boxes, row) in enumerate(zip(py.row_boxes, rows), start=1):
+            if len(row) != len(boxes):
+                raise ValueError(f"row {i} must have {len(boxes)} entries, got {len(row)}")
+            entries.update(zip(boxes, row))
         return cls(py, entries)
 
     def rows(self) -> list[list]:
-        out = []
-        for i in range(1, self.pyramid.nrows + 1):
-            out.append(
-                [
-                    self.entries[self.pyramid.box_at(i, c)]
-                    for c in range(
-                        self.pyramid.row_first_col[i - 1],
-                        self.pyramid.row_last_col[i - 1] + 1,
-                    )
-                ]
-            )
-        return out
+        return [[self.entries[b] for b in boxes] for boxes in self.pyramid.row_boxes]
 
     def __getitem__(self, b: BoxIndex):
         return self.entries[b]
@@ -107,12 +95,8 @@ def _chain_next(upper_value, upper_parity: int, lower_parity: int):
 
 
 def is_column_connected(A: Tableau) -> bool:
-    py = A.pyramid
-    for c in range(1, py.ell + 1):
-        rows = list(py.column_rows(c))
-        for upper_r, lower_r in zip(rows, rows[1:]):
-            up = py.box_at(upper_r, c)
-            low = py.box_at(lower_r, c)
+    for boxes in A.pyramid.column_boxes:
+        for up, low in zip(boxes, boxes[1:]):
             if A[low] != _chain_next(A[up], parity(up), parity(low)):
                 return False
     return True
@@ -120,16 +104,10 @@ def is_column_connected(A: Tableau) -> bool:
 
 def _column_chain(py: Pyramid, c: int, top_value) -> list:
     """All values of column c, top to bottom, forced by the top value."""
-    rows = list(py.column_rows(c))
+    boxes = py.column_boxes[c - 1]
     vals = [top_value]
-    for upper_r, lower_r in zip(rows, rows[1:]):
-        vals.append(
-            _chain_next(
-                vals[-1],
-                py.row_sign(upper_r),
-                py.row_sign(lower_r),
-            )
-        )
+    for up, low in zip(boxes, boxes[1:]):
+        vals.append(_chain_next(vals[-1], parity(up), parity(low)))
     return vals
 
 
@@ -185,8 +163,7 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
         return None
     entries = {}
     for c, chain in assignment.items():
-        for r, v in zip(py.column_rows(c), chain):
-            entries[py.box_at(r, c)] = v
+        entries.update(zip(py.column_boxes[c - 1], chain))
     return Tableau(py, entries)
 
 

@@ -100,11 +100,10 @@ def is_onedim_h_weight(py: Pyramid, lam: Weight) -> bool:
     """True iff lam extends to a one-dimensional U(h)-module: per column,
     same-parity boxes carry equal values and mixed-parity boxes carry
     values summing to zero."""
-    for c in range(1, py.ell + 1):
+    for boxes in py.column_boxes:
         plus_vals = set()
         minus_vals = set()
-        for r in py.column_rows(c):
-            b = py.box_at(r, c)
+        for b in boxes:
             (minus_vals if parity(b) else plus_vals).add(lam[b])
         if len(plus_vals) > 1 or len(minus_vals) > 1:
             return False

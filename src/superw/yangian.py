@@ -32,20 +32,13 @@ Scalar = int | Fraction
 
 class _Context:
     """The per-pyramid state: the enveloping algebra with its product memo,
-    eta, the boxes of each row in column order, and the memo of T-suffix
-    sums.  One context per pyramid lives until clear() drops it."""
+    eta, and the memo of T-suffix sums.  One context per pyramid lives until
+    clear() drops it."""
 
     def __init__(self, py: Pyramid):
         self.py = py
         self.alg = EnvelopingAlgebra(py)
         self.eta = eta_weight(py)
-        self.row_boxes: dict[int, list[BoxIndex]] = {
-            r: [] for r in range(1, py.nrows + 1)
-        }
-        for b in py.boxes:
-            self.row_boxes[py.row(b)].append(b)
-        for r in self.row_boxes:
-            self.row_boxes[r].sort(key=py.col)
         self.t_suffix: dict = {}
 
 
@@ -96,13 +89,13 @@ def _t_suffix(ctx: _Context, j: int, x: int, row: int, lo: int, hi: int, rem: in
         return hit
     py = ctx.py
     total = UEAElement(ctx.alg)
-    for a in ctx.row_boxes[row]:
+    for a in py.row_boxes[row - 1]:
         ca = py.col(a)
         if ca < lo or ca > hi:
             continue
         tp_sign = -1 if parity(a) else 1
-        for rb in range(1, py.nrows + 1):
-            for b in ctx.row_boxes[rb]:
+        for rb, boxes in enumerate(py.row_boxes, start=1):
+            for b in boxes:
                 cb = py.col(b)
                 if cb < ca:
                     continue

@@ -87,7 +87,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             if n in ACCEPTANCE_DETAILS:
                 line += f" ({ACCEPTANCE_DETAILS[n]})"
         elif status is None:
-            line = f"criterion {n}: FAIL (not run)"
+            line = f"criterion {n}: NOT RUN"
         else:
             line = f"criterion {n}: FAIL ({status})"
         if n in seconds:

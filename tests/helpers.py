@@ -3,6 +3,7 @@ the next-level E/F check of a one-dimensional module."""
 
 from fractions import Fraction
 
+from superw.gl import parity
 from superw.pbw import evaluate_one_dim
 from superw.tableau import Tableau
 from superw.weights import lambda_A, rho_tilde
@@ -12,16 +13,16 @@ from superw.yangian import E, F
 def random_cc(py, rng):
     """A column-connected tableau on py: each column draws its top entry
     from rng and chains the rest down by the parity rule."""
-    rows = [[None] * p for p in py.p]
-    for c in range(1, py.ell + 1):
+    entries = {}
+    for boxes in py.column_boxes:
         val = Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3)))
         prev = None
-        for r in py.column_rows(c):
+        for b in boxes:
             if prev is not None:
-                val = val - 1 if py.row_sign(prev) == py.row_sign(r) else -1 - val
-            rows[r - 1][c - py.row_first_col[r - 1]] = val
-            prev = r
-    return Tableau.from_rows(py, rows)
+                val = val - 1 if parity(prev) == parity(b) else -1 - val
+            entries[b] = val
+            prev = b
+    return Tableau(py, entries)
 
 
 def next_level_vanishes(A: Tableau) -> bool:

@@ -250,6 +250,15 @@ def test_invalid_inputs(files, capsys, tmp_path):
     assert out == ""
     assert "ell must be an integer" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    # shift entries and signs are not coerced: 1.5 is not read as 1, nor
+    # [0.9, 1] as "01"
+    coerced = tmp_path / "coerced.json"
+    coerced.write_text(json.dumps({"shift": [[0, 1.5], [0, 0]], "ell": 3, "signs": [0.9, 1]}))
+    code, out, err = run(["dims", "--pyramid", str(coerced), "--prime", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "invalid_input"
+
     # a level bound below 1 would check almost nothing and still say ok
     for level in ("-3", "0"):
         code, out, err = run(

@@ -53,6 +53,17 @@ def test_flagship_box_numbering(gl36):
     assert not py.has_box(1, 1)
     with pytest.raises(KeyError):
         py.box_at(1, 1)
+    assert py.row_boxes == (
+        (minus(2), minus(4)),
+        (plus(1), plus(2), plus(3)),
+        (minus(1), minus(3), minus(5), minus(6)),
+    )
+    assert py.column_boxes == (
+        (minus(1),),
+        (minus(2), plus(1), minus(3)),
+        (minus(4), plus(2), minus(5)),
+        (plus(3), minus(6)),
+    )
 
 
 def test_flagship_column_coordinates(gl36):
@@ -247,6 +258,13 @@ def test_constructor_rejections():
         from_shift([[0, -1, 1], [0, 0, 0], [1, 1, 0]], 4, "101")
     with pytest.raises(ValueError):
         from_shift(good, 4, "102")  # sign letters must be 0/1
+    # shift entries must already be ints and signs a str: nothing is coerced
+    for bad in (1.5, 1.7, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            from_shift([[0, bad, 1], [0, 0, 0], [1, 1, 0]], 4, "101")
+    for signs in ([1, 0, 1], [0.9, 1, 1], ("1", "0", "1")):
+        with pytest.raises(ValueError, match="signs must be a word"):
+            from_shift(good, 4, signs)
 
 
 def test_json_round_trip(gl36):
@@ -264,6 +282,12 @@ def test_from_json_rejects_non_integral_ell(gl36):
     for bad in (4.7, True, "4", None):
         with pytest.raises(ValueError, match="ell must be an integer"):
             Pyramid.from_json({**doc, "ell": bad})
+    for bad in (1.5, 1.7, True, "1"):
+        shift = [[0, bad, 1], [0, 0, 0], [1, 1, 0]]
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            Pyramid.from_json({**doc, "shift": shift})
+    with pytest.raises(ValueError, match="signs must be a word"):
+        Pyramid.from_json({**doc, "signs": [1, 0.9, 1]})
 
 
 def test_enumeration_hand_counts():
@@ -299,6 +323,18 @@ def test_enumeration_invariants():
             assert py.row_first_col[i] <= py.row_first_col[i - 1]
             assert py.row_last_col[i] >= py.row_last_col[i - 1]
         assert len(adjacent_pairs(py)) == sum(p - 1 for p in py.p)
+        # the grid tables read the same boxes as box_at, row by row and
+        # column by column, and each lists every box exactly once
+        for r, boxes in enumerate(py.row_boxes, start=1):
+            cols = range(py.row_first_col[r - 1], py.row_last_col[r - 1] + 1)
+            assert boxes == tuple(py.box_at(r, c) for c in cols), (py, r)
+            assert all(py.row(b) == r for b in boxes), (py, r)
+        for c, boxes in enumerate(py.column_boxes, start=1):
+            assert boxes == tuple(py.box_at(r, c) for r in py.column_rows(c)), (py, c)
+            assert all(py.col(b) == c for b in boxes), (py, c)
+        for table in (py.row_boxes, py.column_boxes):
+            flat = [b for boxes in table for b in boxes]
+            assert sorted(flat) == list(py.boxes), py
 
 
 def test_two_box_pyramids_are_the_expected_ones():
