@@ -13,11 +13,10 @@ and the supertrace form are computed from the structure constants
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Tuple
 
-Scalar = int | Fraction
+from .scalars import Scalar
 
 PLUS = 0
 MINUS = 1

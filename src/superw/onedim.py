@@ -2,18 +2,20 @@
 tableaux.
 
 A column-connected tableau A acts on its one-dimensional module with
-D_i^{(r)} eigenvalue (-1)^{r|i|} e_r of the row-i entries shifted by
-(-1)^{|i|} rhat(i).  In the b-coordinates b_{i,j} = (-1)^{|i|} a_{i,j} +
-rhat(i) this collapses to e_r(b_i) = a_i^{(r)}, so the series
-a_i(u) = 1 + sum_r a_i^{(r)} u^{-r} is prod_j (1 + b_{i,j} u^{-1}).  Row i
-holds the values of row i-1 plus p_i - p_{i-1} new ones, so
-a_i(u) = q_i(u) a_{i-1}(u) with q_i a polynomial in u^{-1} of degree
-p_i - p_{i-1}.  The solver inverts this by one series division: q_i is
+D_i^{(r)} eigenvalue e_r(b_i), where b_i is row i in the b-coordinates
+b_{i,j} = (-1)^{|i|} a_{i,j} + rhat(i).  The parity rule that chains a
+column makes b constant down each column, so a tableau is one b-value per
+column, and the series a_i(u) = 1 + sum_r a_i^{(r)} u^{-r} is
+prod_j (1 + b_{i,j} u^{-1}) over the columns of row i.  Row i holds the
+columns of row i-1 plus the p_i - p_{i-1} columns whose top box lies in
+row i, so a_i(u) = q_i(u) a_{i-1}(u) with q_i a polynomial in u^{-1} of
+that degree.  The solver inverts this by one series division: q_i is
 a_i(u)/a_{i-1}(u) cut off after that degree, which the reduced prefix of
-row i already fixes, and the new values of row i are the roots of the
-monic polynomial with coefficients (-1)^r q_i^{(r)}, factored into
-rational linear factors.  Data whose polynomial does not split over the
-rationals raises NonSplitError naming the exact factor left over.
+row i already fixes, and the values of the columns topped in row i are
+the roots of the monic polynomial with coefficients (-1)^r q_i^{(r)}.
+Roots are extracted from an integer multiple of that polynomial.  Data
+whose polynomial does not split over the rationals raises NonSplitError
+naming the exact factor left over.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .scalars import format_scalar, parse_scalar
 from .tableau import Tableau, is_column_connected
 from .weights import Weight, lambda_A, rho_tilde
 from .yangian import D, E, F, series_quotient
-
-Scalar = int | Fraction
 
 
 class NonSplitError(ValueError):
@@ -136,15 +136,13 @@ class EigenvalueData:
 
 
 def eigenvalues_of(A: Tableau) -> EigenvalueData:
-    """The full eigenvalue table of a tableau, by the shifted elementary
-    symmetric formula."""
+    """The full eigenvalue table of a tableau: row i is e_1..e_{p_i} of its
+    b-row (-1)^{|i|} a + rhat(i)."""
     py = A.pyramid
     full = []
     for i, row in enumerate(A.rows(), start=1):
-        sgn = py.row_sign(i)
-        shift = py.row_hat[i - 1] if sgn == 0 else -py.row_hat[i - 1]
-        es = elementary_symmetric([v + shift for v in row])
-        full.append([-er if (sgn and r % 2) else er for r, er in enumerate(es[1:], start=1)])
+        sgn = -1 if py.row_sign(i) else 1
+        full.append(elementary_symmetric([sgn * v + py.row_hat[i - 1] for v in row])[1:])
     return EigenvalueData(py.signs, py.p, full)
 
 
@@ -164,58 +162,47 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _poly_eval(coeffs: Sequence, x):
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+def _rational_roots(coeffs: Sequence) -> list[Fraction]:
+    """All roots with multiplicity of a monic rational polynomial f, raising
+    NonSplitError if it does not split over the rationals.
 
-
-def _deflate(coeffs: list, root) -> list:
-    """Synthetic division by (z - root); exact for Fraction arithmetic."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All roots with multiplicity of a monic rational polynomial, raising
-    NonSplitError if it does not split over the rationals."""
-    coeffs = [Fraction(c) for c in coeffs]
-    deg = len(coeffs) - 1
+    Denominators are cleared once, into the primitive integer multiple F of
+    f.  A root p/q in lowest terms has p | F(0) and q | lead(F); the
+    candidate is a root when the integer q^d·F(p/q) vanishes, and F then
+    deflates by exact integer division by qz - p, which by Gauss's lemma
+    leaves it integral and primitive."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    F = [int(c * den) for c in coeffs]
     roots: list[Fraction] = []
-    while deg > 0:
-        if coeffs[-1] == 0:
-            roots.append(Fraction(0))
-            coeffs = coeffs[:-1]
-            deg -= 1
-            continue
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        lead, const = ints[0], ints[-1]
-        found = None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(coeffs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
+    while len(F) > 1 and F[-1] == 0:
+        roots.append(Fraction(0))
+        F.pop()
+
+    def vanishes_at(p: int, q: int) -> bool:
+        # q^d·F(p/q) by Horner's rule in p with rising powers of q
+        acc, qk = 0, 1
+        for c in F:
+            acc = acc * p + c * qk
+            qk *= q
+        return acc == 0
+
+    while len(F) > 1:
+        qs = _divisors(F[0])
+        cands = ((s * p, q) for p in _divisors(F[-1]) for q in qs for s in (1, -1))
+        hit = next((pq for pq in cands if vanishes_at(*pq)), None)
+        if hit is None:
             raise NonSplitError(
                 "polynomial does not split over the rationals: "
-                + " ".join(format_scalar(c) for c in coeffs)
+                + " ".join(format_scalar(Fraction(c, F[0])) for c in F)
             )
-        while _poly_eval(coeffs, found) == 0 and deg > 0:
-            roots.append(found)
-            coeffs = _deflate(coeffs, found)
-            deg -= 1
+        root = Fraction(*hit)
+        p, q = root.numerator, root.denominator
+        while len(F) > 1 and vanishes_at(p, q):
+            roots.append(root)
+            quotient = [F[0] // q]
+            for c in F[1:-1]:
+                quotient.append((c + p * quotient[-1]) // q)
+            F = quotient
     return roots
 
 
@@ -247,29 +234,16 @@ def _as_reduced_rows(signs: str, levels: Sequence[int], a) -> list[list]:
 
 
 def solve_b_shifted(py: Pyramid, a) -> list[list]:
-    """Recover b_{i,j} from reduced eigenvalue data: the new values of row i
-    are the roots of q_i, and the inherited values occupy positions
-    s_{i,i-1}+1 .. s_{i,i-1}+p_{i-1}, mirroring the column alignment of
-    the pyramid."""
+    """Recover b_{i,j} from reduced eigenvalue data.  b is constant down each
+    column, so there is one unknown per column: the ascending roots of q_i
+    fill the columns whose top box is in row i, left to right, and each row
+    reads its values off its columns."""
     quotients, _ = _row_quotients(_as_reduced_rows(py.signs, py.p, a))
-    rows: list[list] = []
-    prev: list = []
-    for i, q in enumerate(quotients, start=1):
-        # prod_n (z - n) = sum_r (-1)^r q^{(r)} z^{k-r}
-        new = sorted(_rational_roots([-c if r % 2 else c for r, c in enumerate(q)]))
-        if i == 1:
-            cur = list(new)
-        else:
-            off = py.shift.s(i, i - 1)
-            cur = [None] * py.p[i - 1]
-            for r, v in enumerate(prev):
-                cur[off + r] = v
-            free = [k for k, v in enumerate(cur) if v is None]
-            for k, v in zip(free, new):
-                cur[k] = v
-        rows.append(cur)
-        prev = cur
-    return rows
+    # prod_n (z - n) = sum_r (-1)^r q^{(r)} z^{k-r}
+    polys = ([-c if r % 2 else c for r, c in enumerate(q)] for q in quotients)
+    new = [iter(sorted(_rational_roots(f))) for f in polys]
+    column_b = [next(new[py.row(boxes[0]) - 1]) for boxes in py.column_boxes]
+    return [[column_b[py.col(b) - 1] for b in boxes] for boxes in py.row_boxes]
 
 
 def tableau_from_eigenvalues(py: Pyramid, a) -> Tableau:

@@ -45,8 +45,7 @@ from .gl import (
 )
 from .gl import e as lie_e
 from .pyramid import Pyramid, e_pi, graded_basis
-
-Scalar = int | Fraction
+from .scalars import Scalar
 
 
 def _add_scaled(acc: dict, terms: Iterable[tuple[tuple, Scalar]], c: Scalar) -> None:

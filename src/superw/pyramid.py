@@ -216,11 +216,10 @@ class Pyramid:
     @classmethod
     def from_json(cls, doc: dict) -> "Pyramid":
         ell = doc["ell"]
-        # int() would truncate 4.7 to 4 and accept True as 1
-        integral = isinstance(ell, int) or (isinstance(ell, float) and ell.is_integer())
-        if isinstance(ell, bool) or not integral:
+        # as for the shift entries: no float, not even 4.0, and no bool
+        if isinstance(ell, bool) or not isinstance(ell, int):
             raise ValueError(f"ell must be an integer, got {ell!r}")
-        return cls(ShiftMatrix.from_rows(doc["shift"]), int(ell), doc["signs"])
+        return cls(ShiftMatrix.from_rows(doc["shift"]), ell, doc["signs"])
 
 
 def from_shift(shift, ell: int, signs) -> Pyramid:

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+Scalar = int | Fraction
+
 
 def parse_scalar(text) -> Fraction:
     """Parse "3", "-5/2", 7, or Fraction into a Fraction."""

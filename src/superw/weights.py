@@ -9,12 +9,10 @@ evaluating on the diagonal matrix e_{i,i} just reads the map.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 
 from .gl import BoxIndex, parity
 from .pyramid import Pyramid
-
-Scalar = int | Fraction
+from .scalars import Scalar
 
 
 class Weight:

@@ -13,8 +13,6 @@ instead of silently picking one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .gl import BoxIndex, parity
 from .pyramid import Pyramid
 from .pbw import (
@@ -26,8 +24,6 @@ from .pbw import (
     supercommutator,
 )
 from .weights import eta as eta_weight
-
-Scalar = int | Fraction
 
 
 class _Context:

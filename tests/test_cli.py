@@ -243,12 +243,15 @@ def test_invalid_inputs(files, capsys, tmp_path):
     )
     assert code == 2
 
-    fractional = tmp_path / "fractional.json"
-    fractional.write_text(json.dumps({**PY_DOC, "ell": 4.7}))
-    code, out, err = run(["dims", "--pyramid", str(fractional), "--prime", "2"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "ell must be an integer" in json.loads(err.strip().splitlines()[-1])["message"]
+    # ell follows the rule of the shift entries: 4.7 is not truncated, and
+    # an integral float such as 4.0 is not an integer either
+    for name, ell in (("fractional.json", 4.7), ("integral_float.json", 4.0)):
+        path = tmp_path / name
+        path.write_text(json.dumps({**PY_DOC, "ell": ell}))
+        code, out, err = run(["dims", "--pyramid", str(path), "--prime", "2"], capsys)
+        assert code == 2, name
+        assert out == ""
+        assert "ell must be an integer" in json.loads(err.strip().splitlines()[-1])["message"]
 
     # shift entries and signs are not coerced: 1.5 is not read as 1, nor
     # [0.9, 1] as "01"

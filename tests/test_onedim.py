@@ -167,6 +167,73 @@ def test_rational_roots_match_sympy():
     assert split > 20 and non_split > 20
 
 
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_large_numerators():
+    """Seeded products of linear factors with denominators in {1, 2, 3, 6}:
+    one root has a numerator up to 10^6, as in the large items of the
+    module-roundtrip benchmark, and the others stay small.  Some products
+    carry an irreducible factor z^2 + 1 or z^2 - 2, which must be the exact
+    residual.  One large root per polynomial keeps the trial search, which
+    grows with the square root of the constant term, in milliseconds."""
+    rng = random.Random(18)
+    split = non_split = 0
+    for _ in range(30):
+        roots = [Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 2, 3, 6)))]
+        roots += [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 6))) for _ in range(rng.randint(0, 2))]
+        coeffs = [1]
+        for r in roots:
+            coeffs = _times(coeffs, [1, -r])
+        extra = rng.choice((None, [1, 0, 1], [1, 0, -2]))
+        if extra is None:
+            split += 1
+            assert sorted(_rational_roots(coeffs)) == sorted(roots)
+        else:
+            non_split += 1
+            with pytest.raises(NonSplitError) as info:
+                _rational_roots(_times(coeffs, extra))
+            assert str(info.value).endswith(": " + " ".join(map(str, extra)))
+    assert split > 5 and non_split > 5
+
+
+def test_solve_b_shifted_is_one_value_per_column():
+    """The solver's layout: b is constant down each column, and the columns
+    topped in the same row carry non-decreasing values, left to right."""
+    rng = random.Random(18)
+    for py in enumerate_pyramids(5):
+        for _ in range(3):
+            b = solve_b_shifted(py, eigenvalues_of(random_cc(py, rng)))
+            value = {box: v for boxes, row in zip(py.row_boxes, b) for box, v in zip(boxes, row)}
+            for boxes in py.column_boxes:
+                assert len({value[box] for box in boxes}) == 1, (py, b)
+            for i in range(1, py.nrows + 1):
+                tops = [value[boxes[0]] for boxes in py.column_boxes if py.row(boxes[0]) == i]
+                assert tops == sorted(tops), (py, b)
+
+
+def test_solve_b_shifted_new_columns_on_both_sides():
+    # row 1 is column 2 alone, and row 2 gains columns 1 and 3 around it;
+    # with b = -2, 5, 1 on columns 1, 2, 3 the new values -2 < 1 of row 2
+    # go to its new columns in ascending order, on either side of the 5
+    rows_by_signs = {
+        "00": [[4], [-4, 3, -1]],
+        "01": [[4], [2, -5, -1]],
+        "10": [[-6], [-2, 5, 1]],
+        "11": [[-6], [0, -7, -3]],
+    }
+    for signs, rows in rows_by_signs.items():
+        py = from_shift([[0, 1], [1, 0]], 3, signs)
+        data = eigenvalues_of(Tableau.from_rows(py, rows))
+        assert solve_b_shifted(py, data) == [[5], [-2, 5, 1]]
+        assert tableau_from_eigenvalues(py, data).rows() == rows
+
+
 def test_solve_b_shifted_round_trip(gl36, worked_tableau):
     data = eigenvalues_of(worked_tableau)
     rows = solve_b_shifted(gl36, data)

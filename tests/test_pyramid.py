@@ -278,8 +278,7 @@ def test_json_round_trip(gl36):
 
 def test_from_json_rejects_non_integral_ell(gl36):
     doc = gl36.to_json()
-    assert Pyramid.from_json({**doc, "ell": 4.0}) == gl36
-    for bad in (4.7, True, "4", None):
+    for bad in (4.0, 4.7, True, "4", None):
         with pytest.raises(ValueError, match="ell must be an integer"):
             Pyramid.from_json({**doc, "ell": bad})
     for bad in (1.5, 1.7, True, "1"):
