@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
 from .pbw import evaluate_one_dim
 from .pyramid import Pyramid
-from .scalars import format_scalar, parse_scalar
+from .scalars import check_exact, format_scalar, parse_scalar
 from .tableau import Tableau, is_column_connected
 from .weights import Weight, lambda_A, rho_tilde
 from .yangian import D, E, F, series_quotient
@@ -284,11 +285,17 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
 
     Works entirely on the weight side: lambda - rho_tilde restricted to a
     column must take a single value t on plus boxes and -t on minus boxes,
-    so each column contributes one free scalar.  Returns the lambda of a
-    matching arrangement as a Weight, or None.  This is deliberately
-    independent of the entry-chain search in tableau.find_cc_representative;
-    the two must agree on solvability.
+    so each column contributes one free scalar.  Columns go tallest first.
+    Those of one height share their rows, and the column term of rho_tilde
+    cancels within a column, so they share one entry chain, and each such
+    group tries its top entries in ascending order.  No state can repeat:
+    the entries consumed so far give back each group's multiset of tops,
+    row by row from the top.  Returns the lambda of a matching arrangement
+    as a Weight, or None.  This is deliberately independent of the entry
+    chain search in tableau.find_cc_representative; the two must agree on
+    solvability.
     """
+    check_exact(chain.from_iterable(row_contents))
     rt = rho_tilde(py)
     counts = [Counter(row) for row in row_contents]
     if len(counts) != py.nrows:
@@ -298,35 +305,22 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
             raise ValueError(f"row {i} content must have {py.p[i - 1]} values")
 
     columns = sorted(range(1, py.ell + 1), key=lambda c: (-len(py.column_rows(c)), c))
-    dead: set = set()
-
-    def state_key(pos: int):
-        return (pos, tuple(tuple(sorted(c.items())) for c in counts))
-
     assignment: dict = {}
 
     def entry_from_t(b, t):
-        sgn = -1 if b.sign else 1
-        return sgn * t + rt[b]
+        return (-t if b.sign else t) + rt[b]
 
     def dfs(pos: int) -> bool:
         if pos == len(columns):
             return True
-        key = state_key(pos)
-        if key in dead:
-            return False
-        c = columns[pos]
-        boxes = py.column_boxes[c - 1]
+        boxes = py.column_boxes[columns[pos] - 1]
         b0 = boxes[0]
-        sgn0 = -1 if b0.sign else 1
-        seen = set()
-        for v, n in counts[py.row(b0) - 1].items():
-            if n <= 0:
-                continue
-            t = sgn0 * (v - rt[b0])
-            if t in seen:
-                continue
-            seen.add(t)
+        tops = sorted(v for v, n in counts[py.row(b0) - 1].items() if n > 0)
+        prev = py.column_boxes[columns[pos - 1] - 1] if pos else ()
+        if len(prev) == len(boxes):
+            tops = [v for v in tops if v >= assignment[prev[0]]]
+        for v in tops:
+            t = rt[b0] - v if b0.sign else v - rt[b0]
             consumed = []
             ok = True
             for b in boxes:
@@ -346,7 +340,6 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
                     del assignment[b]
             for ri, a_b in consumed:
                 counts[ri][a_b] += 1
-        dead.add(key)
         return False
 
     if not dfs(0):

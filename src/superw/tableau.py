@@ -4,8 +4,11 @@ representative search, and classification of fillings from a finite pool.
 Column-connectedness couples each box to the one directly below it:
 equal parities differ by 1 going down, mixed parities sum to -1.  Within
 one column the whole chain is therefore determined by its top value.
-A row-equivalence class is named by its sorted rows (`_row_class_key`);
-`classify` enumerates those names per group of columns with one top row.
+Every column ends in the bottom row, so the columns with one top row
+form a group that shares its rows and its chains.  A row-equivalence
+class is named by its sorted rows (`_row_class_key`); `classify`
+enumerates those names per group, and the representative search tries
+each group's tops in ascending order, so it never meets a state twice.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ from typing import Optional
 
 from .gl import BoxIndex, parity
 from .pyramid import Pyramid
-from .scalars import format_scalar, parse_scalar
+from .scalars import Scalar, check_exact, format_scalar, parse_scalar
 
 
 class Tableau:
-    """A filling of the boxes of a pyramid by scalars."""
+    """A filling of the boxes of a pyramid by exact scalars (int or Fraction)."""
 
     __slots__ = ("pyramid", "entries")
 
-    def __init__(self, pyramid: Pyramid, entries: Mapping[BoxIndex, object]):
+    def __init__(self, pyramid: Pyramid, entries: Mapping[BoxIndex, Scalar]):
         missing = [b for b in pyramid.boxes if b not in entries]
         extra = [b for b in entries if b not in pyramid._pos]
         if missing or extra:
@@ -34,6 +37,7 @@ class Tableau:
             )
         self.pyramid = pyramid
         self.entries = {b: entries[b] for b in pyramid.boxes}
+        check_exact(self.entries.values())
 
     @classmethod
     def from_rows(cls, py: Pyramid, rows: Iterable[Iterable[object]]) -> "Tableau":
@@ -116,30 +120,27 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
 
     Each column is a chain determined by its top value, so the search
     matches the row multisets of A against per-column chains, tallest
-    columns first, with memoized dead states.
+    columns first.  The columns of one height share their rows and chains,
+    so each such group tries its tops in ascending order.  No state can
+    repeat: the values consumed so far give back each group's multiset of
+    tops, row by row from the top.  The first success has the
+    lexicographically smallest tops in the search order.
     """
     py = A.pyramid
     remaining = [Counter(row) for row in A.rows()]
-    columns = sorted(
-        range(1, py.ell + 1),
-        key=lambda c: (-len(py.column_rows(c)), c),
-    )
+    columns = sorted(range(1, py.ell + 1), key=lambda c: (-len(py.column_rows(c)), c))
     assignment: dict[int, list] = {}
-    dead: set = set()
-
-    def state_key(pos: int):
-        return (pos, tuple(tuple(sorted(r.elements())) for r in remaining))
 
     def search(pos: int) -> bool:
         if pos == len(columns):
             return True
-        key = state_key(pos)
-        if key in dead:
-            return False
         c = columns[pos]
         rows = list(py.column_rows(c))
-        tops = [v for v, cnt in remaining[rows[0] - 1].items() if cnt > 0]
-        for top in sorted(tops):
+        tops = sorted(v for v, cnt in remaining[rows[0] - 1].items() if cnt > 0)
+        if pos and len(py.column_rows(columns[pos - 1])) == len(rows):
+            floor = assignment[columns[pos - 1]][0]
+            tops = [v for v in tops if v >= floor]
+        for top in tops:
             chain = _column_chain(py, c, top)
             consumed = []
             ok = True
@@ -156,7 +157,6 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
                 del assignment[c]
             for r, v in consumed:
                 remaining[r - 1][v] += 1
-        dead.add(key)
         return False
 
     if not search(0):

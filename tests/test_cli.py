@@ -284,6 +284,33 @@ def test_invalid_inputs(files, capsys, tmp_path):
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "invalid_input"
 
+    # JSON true/false are not scalars: not read as 1/0 in a tableau row or
+    # in an eigenvalue table
+    bool_tab = tmp_path / "bool_tab.json"
+    bool_tab.write_text(json.dumps(
+        {"pyramid": PY_DOC, "rows": [["-2", "-2"], [True, True, True], ["3", "-2", "-2", "-2"]]}
+    ))
+    bool_eig = tmp_path / "bool_eig.json"
+    bool_eig.write_text(json.dumps({"a": [["2", "1"], [True], ["-1"]]}))
+    for argv in (
+        ["module-eval", "--tableau", str(bool_tab)],
+        ["solve", "--pyramid", files["py.json"], "--eigenvalues", str(bool_eig)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "invalid_input"
+
+
+def _env_with_source():
+    """The environment with the directory of the imported superw package
+    first on PYTHONPATH, so a subprocess imports the same code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(superw.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
+
 
 def test_console_script(tmp_path):
     # Run the declared `superw` entry the way an installed launcher does:
@@ -302,16 +329,13 @@ def test_console_script(tmp_path):
         "    obj = getattr(obj, name)\n"
         "sys.exit(obj())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(superw.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
     pyf = tmp_path / "py.json"
     pyf.write_text(json.dumps(PY_DOC))
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "dims", "--pyramid", str(pyf),
          "--prime", "2"],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=_env_with_source(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "d0=32" in proc.stdout
@@ -320,7 +344,7 @@ def test_console_script(tmp_path):
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "superw.cli", "--help"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_env_with_source(),
     )
     assert proc.returncode == 0
     assert "pyramid" in proc.stdout

@@ -24,8 +24,10 @@ def test_parse_rejects_junk():
     for bad in ("", "two", "1.5.2"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
-    with pytest.raises(TypeError):
-        parse_scalar(0.5)
+    # JSON true/false arrive as bool, which is not read as 1/0
+    for bad in (0.5, True, False):
+        with pytest.raises(TypeError):
+            parse_scalar(bad)
 
 
 @given(st.fractions(max_denominator=10**6))

@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from superw.onedim import weight_space_search
 from superw.pyramid import enumerate_pyramids, from_shift
 from superw.tableau import (
     Tableau,
@@ -81,6 +82,24 @@ def test_from_rows_validates_shape(gl36):
         Tableau.from_rows(gl36, [[1], [1, 1, 1], [0, 0, 0, 0]])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-2.0, -2.0], [1.0] * 3, [3.0, -2.0, -2.0, -2.0]],
+        [[-2, -2], [True, 1, 1], [3, -2, -2, -2]],
+        [[-2, -2], [1, False, 1], [3, -2, -2, -2]],
+        [[-2, -2], [1, 1, "1"], [3, -2, -2, -2]],
+    ],
+    ids=["float", "true", "false", "str"],
+)
+def test_entries_must_be_exact(gl36, rows):
+    # the worked tableau with inexact entries: both routes refuse it
+    with pytest.raises(TypeError):
+        Tableau.from_rows(gl36, rows)
+    with pytest.raises(TypeError):
+        weight_space_search(gl36, rows)
+
+
 def test_classify_single_box():
     py = next(p for p in enumerate_pyramids(1) if p.signs == "0")
     out = classify(py, [0, 1])
@@ -108,11 +127,18 @@ def test_classify_is_deterministic(gl36):
         assert find_cc_representative(Tableau.from_rows(gl36, t)) is not None
 
 
-def _brute_force_class_has_cc(py, rows):
+def _brute_force_first_cc(py, rows):
+    """Among the column-connected arrangements of the rows, the one whose
+    column tops, read in (height desc, column) order, are lexicographically
+    smallest; None if there is none."""
+    order = sorted(range(1, py.ell + 1), key=lambda c: (-len(py.column_rows(c)), c))
+    tops = [py.column_boxes[c - 1][0] for c in order]
     arrangements = [sorted(set(permutations(r))) for r in rows]
-    return any(
-        is_column_connected(Tableau.from_rows(py, arr))
-        for arr in product(*arrangements)
+    tableaux = (Tableau.from_rows(py, arr) for arr in product(*arrangements))
+    return min(
+        (T for T in tableaux if is_column_connected(T)),
+        key=lambda T: [T[b] for b in tops],
+        default=None,
     )
 
 
@@ -128,8 +154,8 @@ def test_find_cc_representative_vs_brute_force_exhaustive():
                 k += p
             A = Tableau.from_rows(py, rows)
             wit = find_cc_representative(A)
-            expect = _brute_force_class_has_cc(py, rows)
-            assert (wit is not None) == expect, (py.p, py.signs, rows)
+            # the search returns the arrangement with the smallest tops
+            assert wit == _brute_force_first_cc(py, rows), (py.p, py.signs, rows)
             if wit is not None:
                 assert is_column_connected(wit)
                 assert row_equivalent(wit, A)
@@ -144,8 +170,11 @@ def test_find_cc_representative_vs_brute_force_exhaustive():
 def test_verdict_is_class_invariant(gl36):
     rng = random.Random(23)
     pool = [-2, -1, 0, 1, 2]
-    for _ in range(60):
-        rows = [[rng.choice(pool) for _ in range(p)] for p in gl36.p]
+    samples = [[[rng.choice(pool) for _ in range(p)] for p in gl36.p] for _ in range(60)]
+    # few random rows can be arranged column-connected; every class that
+    # classify returns can
+    samples += [t.rows() for t in classify(gl36, pool)]
+    for rows in samples:
         A = Tableau.from_rows(gl36, rows)
         verdict = find_cc_representative(A) is not None
         shuffled = [r[:] for r in rows]
@@ -153,6 +182,11 @@ def test_verdict_is_class_invariant(gl36):
             rng.shuffle(r)
         B = Tableau.from_rows(gl36, shuffled)
         assert (find_cc_representative(B) is not None) == verdict
+        # the weight route tries values in sorted order, so the order
+        # within a row changes neither its verdict nor its witness
+        weight = weight_space_search(gl36, rows)
+        assert (weight is not None) == verdict
+        assert weight_space_search(gl36, shuffled) == weight
 
 
 def _classify_per_column(py, entry_pool):
