@@ -20,7 +20,6 @@ naming the exact factor left over.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -297,7 +296,7 @@ def weight_space_search(py: Pyramid, row_contents: Sequence[Sequence]):
     """
     check_exact(chain.from_iterable(row_contents))
     rt = rho_tilde(py)
-    counts = [Counter(row) for row in row_contents]
+    counts = [{v: row.count(v) for v in row} for row in row_contents]
     if len(counts) != py.nrows:
         raise ValueError(f"expected {py.nrows} content rows, got {len(counts)}")
     for i, cnt in enumerate(counts, start=1):

@@ -17,8 +17,9 @@ it: by [e_ij, e_kl] = delta_jk e_il -/+ delta_li e_kj every bracket on the
 way is 0, so the normal form is x inserted with a sign (or 0 when odd x
 meets itself).  Already-normal words are the case with no factor below x.
 Only the other words are straightened recursively, and their normal form
-is memoized under the word (x,) + monomial as an immutable tuple of
-(monomial, coefficient) pairs: the only product memo the engine keeps.
+is memoized in the only product memo the engine keeps: one dict per
+generator x, made on x's first miss and keyed by the monomial itself, whose
+values are flat immutable tuples (m1, c1, m2, c2, ...) of the normal form.
 A commuting-prefix word costs one walk over its prefix, so memoizing it
 would only spend memory: on the flagship at level 3 such words would make
 up 71% of the memo.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 
 from .gl import (
     BoxIndex,
@@ -99,7 +100,8 @@ class EnvelopingAlgebra:
             full & ~starts[j] & ~ends[i] for (i, j) in self.pairs
         )
         self._brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._gen_memo: dict = {}
+        # generator index -> {normal monomial: (m1, c1, m2, c2, ...)}
+        self._gen_memo: dict[int, dict[tuple, tuple]] = {}
 
     # -- structure constants -------------------------------------------
 
@@ -124,8 +126,8 @@ class EnvelopingAlgebra:
         and x is odd; such a word is added directly and never memoized.
         This covers the already-normal words (no factor below x).  Any other
         word is straightened recursively and its normal form is memoized
-        under the word (x,) + mono as the immutable tuple of (monomial,
-        coefficient) pairs.  This is the engine's only product memo.
+        in x's own dict (made on its first miss) under mono, as the flat
+        tuple (m1, c1, m2, c2, ...).  This is the engine's only product memo.
         """
         par = self.parities
         comm = self.commutes[x]
@@ -136,8 +138,10 @@ class EnvelopingAlgebra:
             odd ^= par[mono[k]]
             k += 1
         if k < n and mono[k] < x:
-            word = (x,) + mono
-            res = self._gen_memo.get(word)
+            memo = self._gen_memo.get(x)
+            if memo is None:
+                memo = self._gen_memo[x] = {}
+            res = memo.get(mono)
             if res is None:
                 y = mono[0]
                 rest = mono[1:]
@@ -149,9 +153,9 @@ class EnvelopingAlgebra:
                     self._gen_times_mono(y, sub, sgn * cs, out)
                 for z, cz in self._bracket_idx(x, y):
                     self._gen_times_mono(z, rest, cz, out)
-                res = tuple(out.items())
-                self._gen_memo[word] = res
-            _add_scaled(acc, res, c)
+                res = memo[mono] = tuple(chain.from_iterable(out.items()))
+            it = iter(res)
+            _add_scaled(acc, zip(it, it), c)
             return
         if par[x]:
             if k < n and mono[k] == x:

@@ -13,7 +13,6 @@ each group's tops in ascending order, so it never meets a state twice.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from itertools import combinations_with_replacement, product
 from typing import Optional
@@ -127,7 +126,7 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
     lexicographically smallest tops in the search order.
     """
     py = A.pyramid
-    remaining = [Counter(row) for row in A.rows()]
+    remaining = [{v: row.count(v) for v in row} for row in A.rows()]
     columns = sorted(range(1, py.ell + 1), key=lambda c: (-len(py.column_rows(c)), c))
     assignment: dict[int, list] = {}
 
@@ -145,7 +144,7 @@ def find_cc_representative(A: Tableau) -> Optional[Tableau]:
             consumed = []
             ok = True
             for r, v in zip(rows, chain):
-                if remaining[r - 1][v] <= 0:
+                if remaining[r - 1].get(v, 0) <= 0:
                     ok = False
                     break
                 remaining[r - 1][v] -= 1

@@ -13,14 +13,13 @@ instead of silently picking one.
 
 from __future__ import annotations
 
-from .gl import BoxIndex, parity
+from .gl import parity
 from .pyramid import Pyramid
 from .pbw import (
     EnvelopingAlgebra,
     UEAElement,
-    generator,
+    _add_scaled,
     identity,
-    scalar_element,
     supercommutator,
 )
 from .weights import eta as eta_weight
@@ -64,27 +63,18 @@ def clear() -> None:
     _contexts.clear()
 
 
-def _e_tilde(ctx: _Context, i: BoxIndex, j: BoxIndex) -> UEAElement:
-    """(-1)^{col(j)-col(i)} (e_{i,j} + eta(e_{i,j})), defined for pairs in p."""
-    dcol = ctx.py.col(j) - ctx.py.col(i)
-    if dcol < 0:
-        raise ValueError(f"e({i},{j}) lies outside p")
-    sign = -1 if dcol % 2 else 1
-    el = generator(ctx.alg, i, j, sign)
-    if i == j:
-        el = el + scalar_element(ctx.alg, sign * ctx.eta[i])
-    return el
-
-
 def _t_suffix(ctx: _Context, j: int, x: int, row: int, lo: int, hi: int, rem: int) -> UEAElement:
     """Sum over sequence completions: next pair starts in `row` with its
-    left box confined to columns [lo, hi], `rem` budget still to spend."""
+    left box confined to columns [lo, hi], `rem` budget still to spend.
+    A pair (a, b) adds coef·(e_{a,b} + eta(e_{a,b}))·tail to one dict, where
+    coef folds (-1)^{col(b)-col(a)}, the parity sign of a and the link sign."""
     key = (j, x, row, lo, hi, rem)
     hit = ctx.t_suffix.get(key)
     if hit is not None:
         return hit
     py = ctx.py
-    total = UEAElement(ctx.alg)
+    alg = ctx.alg
+    acc: dict = {}
     for a in py.row_boxes[row - 1]:
         ca = py.col(a)
         if ca < lo or ca > hi:
@@ -98,10 +88,10 @@ def _t_suffix(ctx: _Context, j: int, x: int, row: int, lo: int, hi: int, rem: in
                 cost = cb - ca + 1
                 if cost > rem:
                     break
-                factor = _e_tilde(ctx, a, b)
                 if cost == rem:
-                    if rb == j:
-                        total = total + tp_sign * factor
+                    if rb != j:
+                        continue
+                    link, tail = 1, {(): 1}
                 else:
                     if rb <= x:
                         link = -1
@@ -109,9 +99,16 @@ def _t_suffix(ctx: _Context, j: int, x: int, row: int, lo: int, hi: int, rem: in
                     else:
                         link = 1
                         nlo, nhi = cb + 1, py.ell
-                    tail = _t_suffix(ctx, j, x, rb, nlo, nhi, rem - cost)
-                    if not tail.is_zero():
-                        total = total + (tp_sign * link) * (factor * tail)
+                    tail = _t_suffix(ctx, j, x, rb, nlo, nhi, rem - cost).terms
+                    if not tail:
+                        continue
+                coef = tp_sign * link * (-1 if (cb - ca) % 2 else 1)
+                ab = alg.index[(a, b)]
+                for mono, c in tail.items():
+                    alg._gen_times_mono(ab, mono, coef * c, acc)
+                if a == b and ctx.eta[a]:
+                    _add_scaled(acc, tail.items(), coef * ctx.eta[a])
+    total = UEAElement._raw(alg, acc)
     ctx.t_suffix[key] = total
     return total
 

@@ -89,6 +89,20 @@ def is_normal(alg, mono) -> bool:
     return all(x < y or (x == y and not alg.parities[x]) for x, y in zip(mono, mono[1:]))
 
 
+def memo_entries(alg):
+    """Every memoized word x·mono of alg as (x, mono, flat value)."""
+    for x, memo in alg._gen_memo.items():
+        for mono, value in memo.items():
+            yield x, mono, value
+
+
+def memo_terms(value):
+    """The (monomial, coefficient) pairs of a flat memo value
+    (m1, c1, m2, c2, ...)."""
+    assert len(value) % 2 == 0, value
+    return list(zip(value[::2], value[1::2]))
+
+
 def supercommutes(alg, x, y) -> bool:
     """[x, y] = 0 by the bracket table of gl(M|N)."""
     return bracket_pair(*alg.pairs[x], *alg.pairs[y]).is_zero()
@@ -156,18 +170,39 @@ def test_product_memo_holds_only_straightened_words(host, request):
     for _ in range(25):
         random_element(alg, rng, nterms=3) * random_element(alg, rng, nterms=3)
     assert alg._gen_memo
-    for word, value in alg._gen_memo.items():
+    for x, mono, value in memo_entries(alg):
+        word = (x,) + mono
         # a word is memoized only when its generator sits above the monomial
         assert len(word) >= 2 and word[0] > word[1], word
         assert is_normal(alg, word[1:]), word
         # ... and fails to supercommute with some factor it must move past:
         # a commuting-prefix word is a signed insertion, never memoized
-        x = word[0]
         assert any(not supercommutes(alg, x, y) for y in word[1:] if y < x), word
         assert isinstance(value, tuple), word
-        for mono, c in value:
-            assert is_normal(alg, mono), (word, mono)
+        for m, c in memo_terms(value):
+            assert is_normal(alg, m), (word, m)
             assert isinstance(c, (int, Fraction)) and c != 0, (word, c)
+
+
+@pytest.mark.parametrize("host", ["gl36", "py4"])
+def test_product_memo_values_match_naive(host, request):
+    """Every memoized word of a warm algebra decodes to the naive normal
+    form of x·mono, with no monomial repeated."""
+    py = request.getfixturevalue(host)
+    alg = EnvelopingAlgebra(py)
+    rng = random.Random(59)
+    for _ in range(25):
+        random_element(alg, rng, nterms=3) * random_element(alg, rng, nterms=3, max_degree=4)
+    # one dict per generator, made on its first miss, which always stores
+    assert alg._gen_memo and all(alg._gen_memo.values())
+    count = 0
+    for x, mono, value in memo_entries(alg):
+        terms = dict(memo_terms(value))
+        assert len(terms) * 2 == len(value), (x, mono)
+        expected = naive_product(UEAElement(alg, {(x,): 1}), UEAElement(alg, {mono: 1}))
+        assert terms == expected.terms, (x, mono)
+        count += 1
+    assert count > 50
 
 
 def test_commutes_mask_matches_bracket_table(gl36, py4):

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superw import yangian
-from superw.gl import e, minus, plus
-from superw.pbw import from_lie, identity, is_W_invariant, scalar_element, supercommutator
-from superw.pyramid import Pyramid, from_shift
+from superw.gl import e, minus, parity, plus
+from superw.pbw import (
+    from_lie,
+    generator,
+    identity,
+    is_W_invariant,
+    scalar_element,
+    supercommutator,
+)
+from superw.pyramid import Pyramid, enumerate_pyramids, from_shift
+from superw.weights import eta
 from superw.yangian import (
     D,
     E,
@@ -30,6 +38,65 @@ from superw.yangian import (
 
 def _diag(alg, *boxes):
     return sum((from_lie(alg, e(b, b)) for b in boxes), scalar_element(alg, 0))
+
+
+def oracle_T(py, i, j, x, r):
+    """T_{i,j;x}^{(r)} as a sum of products of generator and scalar_element
+    elements, one product per sequence of pairs (a_1, b_1), ..., (a_m, b_m):
+    a_1 in row i, b_m in row j, row(a_{k+1}) = row(b_k), col(a_k) <=
+    col(b_k), and the costs col(b_k) - col(a_k) + 1 add up to r.  The next
+    pair starts in a column <= col(b_k) with link sign -1 when row(b_k) <= x,
+    and in a column > col(b_k) with sign +1 otherwise.  Each pair (a, b)
+    contributes (-1)^{p(a)} (-1)^{col(b)-col(a)} (e_{a,b} + eta(e_{a,b}))."""
+    alg = algebra_for(py)
+    eta_py = eta(py)
+
+    def factor(a, b):
+        sign = (-1) ** parity(a) * (-1) ** (py.col(b) - py.col(a))
+        el = generator(alg, a, b, sign)
+        if a == b:
+            el = el + scalar_element(alg, sign * eta_py[a])
+        return el
+
+    def sequences(row, lo, hi, rem):
+        """(link sign, pairs) of every completion from `row`."""
+        for a in py.row_boxes[row - 1]:
+            for b in py.boxes:
+                cost = py.col(b) - py.col(a) + 1
+                if not lo <= py.col(a) <= hi or not 1 <= cost <= rem:
+                    continue
+                if cost == rem:
+                    if py.row(b) == j:
+                        yield 1, [(a, b)]
+                    continue
+                if py.row(b) <= x:
+                    link, nlo, nhi = -1, 1, py.col(b)
+                else:
+                    link, nlo, nhi = 1, py.col(b) + 1, py.ell
+                for sign, rest in sequences(py.row(b), nlo, nhi, rem - cost):
+                    yield link * sign, [(a, b)] + rest
+
+    total = scalar_element(alg, 0)
+    for sign, pairs in sequences(i, 1, py.ell, r):
+        term = identity(alg)
+        for a, b in pairs:
+            term = term * factor(a, b)
+        total = total + sign * term
+    return total
+
+
+def test_T_matches_product_oracle(gl36, py4):
+    hosts = [*enumerate_pyramids(4), gl36, py4]
+    nonzero = 0
+    for py in hosts:
+        for i in range(1, py.nrows + 1):
+            for j in range(1, py.nrows + 1):
+                for x in range(py.nrows + 1):
+                    for r in (1, 2, 3):
+                        got = T(py, i, j, x, r)
+                        assert got.terms == oracle_T(py, i, j, x, r).terms, (py, i, j, x, r)
+                        nonzero += bool(got.terms)
+    assert len(hosts) > 10 and nonzero > 100
 
 
 def test_level_one_D_values(gl36, alg36):
