@@ -177,12 +177,16 @@ def cmd_wgen_verify(args) -> int:
     if args.max_level < 1:
         raise ValueError("--max-level must be at least 1")
     suites = [s.strip() for s in args.suites.split(",") if s.strip()]
+    if not suites:
+        raise ValueError("--suites must name at least one suite")
     unknown = set(suites) - {"relations", "membership", "truncation"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     wanted = None
-    if args.relations:
+    if args.relations is not None:
         wanted = {_norm_rel(r) for r in args.relations.split(",") if r.strip()}
+        if not wanted:
+            raise ValueError("--relations must name at least one relation id")
 
     lines: list[str] = []
     doc: dict = {"pyramid": py.to_json(), "max_level": args.max_level}

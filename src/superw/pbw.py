@@ -64,7 +64,9 @@ class EnvelopingAlgebra:
     """Multiplication engine for U(gl(M|N)) in the PBW order of a pyramid."""
 
     def __init__(self, py: Pyramid):
-        self.pyramid = py
+        # py's equality key, not py: py owns this algebra (in py.w_state), and
+        # a reference back would make a cycle only the cycle collector frees.
+        self.pyramid_key = py._key()
         p_basis = graded_basis(py, "p")
         m_basis = graded_basis(py, "m")
         self.pairs: tuple[Pair, ...] = tuple(p_basis + m_basis)
@@ -360,8 +362,8 @@ def supercommutator(a: UEAElement, b: UEAElement) -> UEAElement:
 
 
 def _algebra_over(py: Pyramid, u: UEAElement) -> EnvelopingAlgebra:
-    """The algebra of u, which must be the one built over py."""
-    if u.algebra.pyramid != py:
+    """The algebra of u, which must be built over a pyramid equal to py."""
+    if u.algebra.pyramid_key != py._key():
         raise ValueError("element was built over a different pyramid")
     return u.algebra
 

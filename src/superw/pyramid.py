@@ -148,6 +148,10 @@ class Pyramid:
             rh.append(acc)
         self.row_hat = tuple(rh)
 
+        # The W-algebra state (algebra, memos, eta): superw.yangian fills it
+        # on first use.  Not part of __eq__, __hash__ or to_json.
+        self.w_state = None
+
     # -- accessors -------------------------------------------------------
 
     def row(self, b: BoxIndex) -> int:

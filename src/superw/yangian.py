@@ -25,55 +25,41 @@ from .pbw import (
 from .weights import eta as eta_weight
 
 
-class _Context:
-    """The per-pyramid state: the enveloping algebra with its product memo,
-    eta, and the memo of T-suffix sums.  One context per pyramid lives until
-    clear() drops it."""
+class _State:
+    """One pyramid's W-algebra state: the enveloping algebra with its product
+    memo, eta and the T-suffix memo.  It lives in py.w_state and holds no
+    reference back to py, so refcounting frees it with py and its elements."""
+
+    __slots__ = ("alg", "eta", "t_suffix")
 
     def __init__(self, py: Pyramid):
-        self.py = py
         self.alg = EnvelopingAlgebra(py)
         self.eta = eta_weight(py)
         self.t_suffix: dict = {}
 
 
-_contexts: dict[Pyramid, _Context] = {}
-
-
-def _ctx(py: Pyramid) -> _Context:
-    ctx = _contexts.get(py)
-    if ctx is None:
-        ctx = _Context(py)
-        _contexts[py] = ctx
-    return ctx
+def _state(py: Pyramid) -> _State:
+    if py.w_state is None:
+        py.w_state = _State(py)
+    return py.w_state
 
 
 def algebra_for(py: Pyramid) -> EnvelopingAlgebra:
-    """The enveloping algebra of py; equal pyramids share one algebra."""
-    return _ctx(py).alg
+    """The enveloping algebra of py, built on first use and owned by py."""
+    return _state(py).alg
 
 
-def clear() -> None:
-    """Drop every per-pyramid context, with its algebra, product memo and
-    T-suffix memo, so their memory can be freed.
-
-    Elements built before the call belong to a dropped algebra: mixing them
-    with elements built after it raises ValueError.
-    """
-    _contexts.clear()
-
-
-def _t_suffix(ctx: _Context, j: int, x: int, row: int, lo: int, hi: int, rem: int) -> UEAElement:
+def _t_suffix(py: Pyramid, j: int, x: int, row: int, lo: int, hi: int, rem: int) -> UEAElement:
     """Sum over sequence completions: next pair starts in `row` with its
     left box confined to columns [lo, hi], `rem` budget still to spend.
     A pair (a, b) adds coef·(e_{a,b} + eta(e_{a,b}))·tail to one dict, where
     coef folds (-1)^{col(b)-col(a)}, the parity sign of a and the link sign."""
+    st = _state(py)
     key = (j, x, row, lo, hi, rem)
-    hit = ctx.t_suffix.get(key)
+    hit = st.t_suffix.get(key)
     if hit is not None:
         return hit
-    py = ctx.py
-    alg = ctx.alg
+    alg = st.alg
     acc: dict = {}
     for a in py.row_boxes[row - 1]:
         ca = py.col(a)
@@ -99,29 +85,34 @@ def _t_suffix(ctx: _Context, j: int, x: int, row: int, lo: int, hi: int, rem: in
                     else:
                         link = 1
                         nlo, nhi = cb + 1, py.ell
-                    tail = _t_suffix(ctx, j, x, rb, nlo, nhi, rem - cost).terms
+                    tail = _t_suffix(py, j, x, rb, nlo, nhi, rem - cost).terms
                     if not tail:
                         continue
                 coef = tp_sign * link * (-1 if (cb - ca) % 2 else 1)
                 ab = alg.index[(a, b)]
                 for mono, c in tail.items():
                     alg._gen_times_mono(ab, mono, coef * c, acc)
-                if a == b and ctx.eta[a]:
-                    _add_scaled(acc, tail.items(), coef * ctx.eta[a])
+                if a == b and st.eta[a]:
+                    _add_scaled(acc, tail.items(), coef * st.eta[a])
     total = UEAElement._raw(alg, acc)
-    ctx.t_suffix[key] = total
+    st.t_suffix[key] = total
     return total
 
 
 def T(py: Pyramid, i: int, j: int, x: int, r: int) -> UEAElement:
-    """The element T_{i,j;x}^{(r)} of U(p)."""
+    """The element T_{i,j;x}^{(r)} of U(p).
+
+    With |i - j| >= 2 it is not W-invariant for every x: on p = (1, 1, 1, 2),
+    signs 0000, T_{1,4;1}^{(2)} lies in U(p) but is not invariant, while
+    T_{1,4;3}^{(2)} is.  The root elements are higher_E and higher_F.
+    """
     if not (1 <= i <= py.nrows and 1 <= j <= py.nrows):
         raise ValueError(f"row indices must lie in 1..{py.nrows}")
     if not (0 <= x <= py.nrows):
         raise ValueError(f"x must lie in 0..{py.nrows}")
     if r < 1:
         raise ValueError("r must be positive")
-    return _t_suffix(_ctx(py), j, x, i, 1, py.ell, r)
+    return _t_suffix(py, j, x, i, 1, py.ell, r)
 
 
 # -- named generators ---------------------------------------------------
@@ -320,17 +311,15 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
         ok = lhs == rhs
     elif rel == "ff-same":
         i, r, s = kw["i"], kw["r"], kw["s"]
+        lo = py.shift.s(i + 1, i) + 1
         lhs = supercommutator(F(py, i, r), F(py, i, s))
-
-        def rhs_from(lo: int) -> UEAElement:
-            pieces = [_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t) for t in range(lo, r)]
-            pieces += [-(_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t)) for t in range(lo, s)]
-            return sgn_row(i) * sum(pieces, zero)
-
-        shift = py.shift.s(i + 1, i)
-        ok = lhs == rhs_from(shift + 1)
-        variants["lower_index_i"] = ok
-        variants["lower_index_zero"] = ok if shift == 0 else lhs == rhs_from(1)
+        pieces = [_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t) for t in range(lo, r)]
+        pieces += [-(_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t)) for t in range(lo, s)]
+        ok = lhs == sgn_row(i) * sum(pieces, zero)
+        # Summing from t = 1 instead adds each product with t < lo to both
+        # sums, once negated; admissible r, s >= lo put every such t in both
+        # ranges, so the products cancel and the two readings are one element.
+        variants["lower_index_i"] = variants["lower_index_zero"] = ok
     elif rel == "ee-adjacent":
         i, r, s = kw["i"], kw["r"], kw["s"]
         lhs = supercommutator(E(py, i, r + 1), E(py, i + 1, s)) - supercommutator(

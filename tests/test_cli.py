@@ -109,6 +109,34 @@ def test_wgen_verify_relation_filter(files, capsys):
     assert " FAIL" not in out
 
 
+@pytest.mark.parametrize("suites", [",", "", " , "])
+def test_wgen_verify_rejects_empty_suite_list(files, capsys, suites):
+    # a run that checks nothing must not report overall=ok
+    code, out, err = run(
+        ["wgen-verify", "--pyramid", files["py.json"], "--suites", suites], capsys
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input"
+    assert "--suites" in doc["message"]
+
+
+@pytest.mark.parametrize("suites", ["relations", "relations,membership,truncation"])
+def test_wgen_verify_rejects_empty_relation_list(files, capsys, suites):
+    for relations in (",", ""):
+        code, out, err = run(
+            ["wgen-verify", "--pyramid", files["py.json"], "--suites", suites,
+             "--relations", relations],
+            capsys,
+        )
+        assert code == 2, relations
+        assert out == ""
+        doc = json.loads(err.strip().splitlines()[-1])
+        assert doc["error"] == "invalid_input"
+        assert "--relations" in doc["message"]
+
+
 def test_module_eval(files, capsys):
     code, out, _ = run(["module-eval", "--tableau", files["tab.json"]], capsys)
     assert code == 0

@@ -1,13 +1,15 @@
 """Generator formulas, relation verification, and truncation on gl(3|6)."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superw import yangian
 from superw.gl import e, minus, parity, plus
+from superw.onedim import symbolic_module_check
 from superw.pbw import (
     from_lie,
     generator,
@@ -34,6 +36,8 @@ from superw.yangian import (
     series_quotient,
     truncation_vanishing,
 )
+
+from helpers import random_cc
 
 
 def _diag(alg, *boxes):
@@ -269,26 +273,58 @@ def test_serre_equal_levels_single_summand_vanishes(py4):
     assert count > 0
 
 
-def test_clear_drops_per_pyramid_state(gl36, monkeypatch):
-    monkeypatch.setattr(yangian, "_contexts", {})
-    old_alg = algebra_for(gl36)
-    old = {(i, r): D(gl36, i, r) for i in (1, 2, 3) for r in (1, 2, 3)}
-    yangian.clear()
-    assert not yangian._contexts
-    new_alg = algebra_for(gl36)
-    assert new_alg is not old_alg
-    for (i, r), el in old.items():
-        assert D(gl36, i, r).terms == el.terms
-    stale, fresh = old[(2, 2)], D(gl36, 2, 2)
-    for mix in (lambda: stale + fresh, lambda: stale * fresh, lambda: supercommutator(stale, fresh)):
+@pytest.fixture()
+def no_cycle_collector():
+    """Run the test with the cycle collector off, so that only refcounting
+    can free what it drops."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_state_dies_with_pyramid_and_elements(gl36, no_cycle_collector):
+    py = Pyramid.from_json(gl36.to_json())
+    els = [D(py, i, r) for i in (1, 2, 3) for r in (1, 2, 3)]
+    els.append(supercommutator(E(py, 1, 2), F(py, 1, 2)))
+    alg = weakref.ref(algebra_for(py))
+    assert py.w_state.alg is alg() and py.w_state.t_suffix
+    assert alg()._gen_memo
+    del py
+    assert alg() is not None  # the elements still use it
+    del els
+    assert alg() is None
+
+
+def test_module_check_sweep_leaves_no_algebra_alive(no_cycle_collector):
+    rng = random.Random(61)
+    algs = []
+    for py in enumerate_pyramids(5):
+        A = random_cc(py, rng)
+        assert symbolic_module_check(A), py
+        algs.append(weakref.ref(algebra_for(py)))
+    del py, A
+    assert len(algs) > 200
+    assert [ref for ref in algs if ref() is not None] == []
+
+
+def test_equal_pyramids_own_distinct_algebras(gl36, no_cycle_collector):
+    twin = Pyramid.from_json(gl36.to_json())
+    assert twin == gl36 and twin is not gl36
+    alg = weakref.ref(algebra_for(twin))
+    assert alg() is not algebra_for(gl36)
+    mine, theirs = D(twin, 2, 2), D(gl36, 2, 2)
+    assert mine.algebra is alg() and mine.terms == theirs.terms
+    for mix in (lambda: mine + theirs, lambda: mine * theirs, lambda: supercommutator(mine, theirs)):
         with pytest.raises(ValueError, match="different algebras"):
             mix()
-
-
-def test_one_algebra_per_pyramid(gl36):
-    twin = Pyramid.from_json(gl36.to_json())
-    assert twin is not gl36
-    assert algebra_for(twin) is algebra_for(gl36)
+    # the pyramid check compares equality, so the twin still accepts them
+    assert is_W_invariant(twin, D(gl36, 3, 2))
+    del twin, mine, mix
+    assert alg() is None
     assert D(gl36, 1, 1).algebra is algebra_for(gl36)
 
 
@@ -308,3 +344,17 @@ def test_higher_root_elements(gl36):
     y = higher_F(gl36, 3, 1, 2)
     assert y.in_U_p()
     assert is_W_invariant(gl36, y)
+
+
+def test_distant_T_is_not_invariant_for_every_x():
+    # p = (1, 1, 1, 2): the T docstring's example of a T_{i,j;x} with
+    # |i - j| >= 2 that lies in U(p) but is not a W-element
+    py = from_shift([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], 2, "0000")
+    assert py.p == (1, 1, 1, 2)
+    bad, good = T(py, 1, 4, 1, 2), T(py, 1, 4, 3, 2)
+    assert bad.in_U_p() and good.in_U_p()
+    assert not is_W_invariant(py, bad)
+    assert is_W_invariant(py, good)
+    # while the root elements of the same pair are W-elements
+    assert is_W_invariant(py, higher_E(py, 1, 4, 2))
+    assert is_W_invariant(py, higher_F(py, 4, 1, 1))
