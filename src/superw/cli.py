@@ -187,6 +187,8 @@ def cmd_wgen_verify(args) -> int:
         wanted = {_norm_rel(r) for r in args.relations.split(",") if r.strip()}
         if not wanted:
             raise ValueError("--relations must name at least one relation id")
+        if "relations" not in suites:
+            raise ValueError("--relations needs the relations suite, which --suites leaves out")
 
     lines: list[str] = []
     doc: dict = {"pyramid": py.to_json(), "max_level": args.max_level}

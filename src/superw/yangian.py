@@ -6,7 +6,8 @@ over box-pair sequences subject to the column/row linking conditions; the
 named generators are D_i^{(r)} = T_{i,i;i-1}^{(r)}, E_i^{(r)} =
 T_{i,i+1;i}^{(r)} (levels above s_{i,i+1}), F_i^{(r)} = T_{i+1,i;i}^{(r)}
 (levels above s_{i+1,i}).  The defining relations of the presentation are
-registered under descriptive ids (RELATION_IDS); two of them admit
+families with descriptive ids (RELATION_IDS); _INDICES maps each id to the
+index letters that relation_report takes as keywords.  Two families admit
 competing index readings, so their verifier reports every named reading
 instead of silently picking one.
 """
@@ -128,14 +129,6 @@ def D(py: Pyramid, i: int, r: int) -> UEAElement:
     return T(py, i, i, i - 1, r)
 
 
-def _E_raw(py: Pyramid, i: int, r: int) -> UEAElement:
-    return T(py, i, i + 1, i, r)
-
-
-def _F_raw(py: Pyramid, i: int, r: int) -> UEAElement:
-    return T(py, i + 1, i, i, r)
-
-
 def E(py: Pyramid, i: int, r: int) -> UEAElement:
     if not 1 <= i < py.nrows:
         raise ValueError(f"E index must lie in 1..{py.nrows - 1}")
@@ -143,7 +136,7 @@ def E(py: Pyramid, i: int, r: int) -> UEAElement:
         raise ValueError(
             f"E_{i} level {r} inadmissible: needs r > s_({i},{i+1}) = {py.shift.s(i, i + 1)}"
         )
-    return _E_raw(py, i, r)
+    return T(py, i, i + 1, i, r)
 
 
 def F(py: Pyramid, i: int, r: int) -> UEAElement:
@@ -153,7 +146,7 @@ def F(py: Pyramid, i: int, r: int) -> UEAElement:
         raise ValueError(
             f"F_{i} level {r} inadmissible: needs r > s_({i+1},{i}) = {py.shift.s(i + 1, i)}"
         )
-    return _F_raw(py, i, r)
+    return T(py, i + 1, i, i, r)
 
 
 def generator_parity(py: Pyramid, i: int) -> int:
@@ -216,24 +209,26 @@ def d_prime_series(series) -> list:
 # -- relations ----------------------------------------------------------
 
 
-RELATION_IDS = (
-    "d-unit",          # D_i^{(0)} = 1 and D'_i^{(0)} = 1
-    "d-inverse",       # the convolution defining the primed D series
-    "dd-comm",         # [D_i^{(r)}, D_j^{(s)}] = 0
-    "de",              # [D_i^{(r)}, E_j^{(s)}]
-    "df",              # [D_i^{(r)}, F_j^{(s)}]
-    "ef",              # [E_i^{(r)}, F_j^{(s)}]
-    "ee-same",         # [E_i^{(r)}, E_i^{(s)}]
-    "ff-same",         # [F_i^{(r)}, F_i^{(s)}]
-    "ee-adjacent",     # mixed-level identity for E_i, E_{i+1}
-    "ff-adjacent",     # mixed-level identity for F_i, F_{i+1}
-    "ee-distant",      # [E_i, E_j] = 0 for |i-j| > 1
-    "ff-distant",      # [F_i, F_j] = 0 for |i-j| > 1
-    "ee-serre",        # cubic Serre identity for E
-    "ff-serre",        # cubic Serre identity for F
-    "ee-super-serre",  # quartic identity at an odd E node
-    "ff-super-serre",  # quartic identity at an odd F node
-)
+# Every relation family and the index letters its instances take.
+_INDICES = {
+    "d-unit": "i",              # D_i^{(0)} = 1 and D'_i^{(0)} = 1
+    "d-inverse": "ir",          # the convolution defining the primed D series
+    "dd-comm": "ijrs",          # [D_i^{(r)}, D_j^{(s)}] = 0
+    "de": "ijrs",               # [D_i^{(r)}, E_j^{(s)}]
+    "df": "ijrs",               # [D_i^{(r)}, F_j^{(s)}]
+    "ef": "ijrs",               # [E_i^{(r)}, F_j^{(s)}]
+    "ee-same": "irs",           # [E_i^{(r)}, E_i^{(s)}]
+    "ff-same": "irs",           # [F_i^{(r)}, F_i^{(s)}]
+    "ee-adjacent": "irs",       # mixed-level identity for E_i, E_{i+1}
+    "ff-adjacent": "irs",       # mixed-level identity for F_i, F_{i+1}
+    "ee-distant": "ijrs",       # [E_i, E_j] = 0 for |i-j| > 1
+    "ff-distant": "ijrs",       # [F_i, F_j] = 0 for |i-j| > 1
+    "ee-serre": "ijrst",        # cubic Serre identity for E
+    "ff-serre": "ijrst",        # cubic Serre identity for F
+    "ee-super-serre": "irs",    # quartic identity at an odd E node
+    "ff-super-serre": "irs",    # quartic identity at an odd F node
+}
+RELATION_IDS = tuple(_INDICES)
 
 
 def _norm_rel(rel: str) -> str:
@@ -243,113 +238,96 @@ def _norm_rel(rel: str) -> str:
     return rel
 
 
-def relation_report(py: Pyramid, rel: str, **kw) -> dict:
+def relation_report(py: Pyramid, rel: str, **indices) -> dict:
     """Evaluate one relation instance symbolically in U(p).
 
+    The keyword indices must be exactly the family's letters in _INDICES.
     Returns {"rel", "indices", "ok", "variants"}: "ok" is the verdict for
     the resolved reading; "variants" maps named alternative readings of
     the two suspect formulas to their own verdicts.
     """
     rel = _norm_rel(rel)
+    names = _INDICES[rel]
+    if sorted(indices) != list(names):
+        got = ", ".join(sorted(indices)) or "none"
+        raise ValueError(f"relation {rel} takes indices {', '.join(names)}; got {got}")
+    i, j, r, s, t = (indices.get(k) for k in "ijrst")
     alg = algebra_for(py)
     zero = UEAElement(alg)
     sgn_row = lambda i: -1 if py.row_sign(i) else 1
+    make = E if rel[0] == "e" else F  # the generator of the sided families
     variants: dict[str, bool] = {}
 
     if rel == "d-unit":
-        i = kw["i"]
         ok = D(py, i, 0) == identity(alg) and d_prime_series([])[0] == 1
     elif rel == "d-inverse":
-        i, r = kw["i"], kw["r"]
-        ds = [D(py, i, t) for t in range(1, r + 1)]
-        dp = d_prime_series(ds)
+        # D' comes from series_quotient, so this sum is delta_{r0} for any
+        # series with constant term 1, commuting or not: the family checks
+        # the product arithmetic of U(p), not the generators.
+        dp = d_prime_series([D(py, i, t) for t in range(1, r + 1)])
         lhs = sum((D(py, i, t) * dp[r - t] for t in range(0, r + 1)), zero)
         ok = lhs == (identity(alg) if r == 0 else zero)
     elif rel == "dd-comm":
-        i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
         ok = supercommutator(D(py, i, r), D(py, j, s)).is_zero()
     elif rel == "de":
-        i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
         lhs = supercommutator(D(py, i, r), E(py, j, s))
-        coef = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-        if coef == 0 or r == 0:
-            rhs = zero
-        else:
-            rhs = (sgn_row(i) * coef) * sum(
-                (D(py, i, t) * _E_raw(py, j, r + s - 1 - t) for t in range(0, r)), zero
-            )
-        ok = lhs == rhs
+        coef = sgn_row(i) * (int(i == j) - int(i == j + 1))
+        # each right-hand level r+s-1-t is at least s, so admissible
+        terms = (D(py, i, t) * E(py, j, r + s - 1 - t) for t in range(r if coef else 0))
+        ok = lhs == coef * sum(terms, zero)
     elif rel == "df":
-        i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
         lhs = supercommutator(D(py, i, r), F(py, j, s))
-        coef = (1 if i == j + 1 else 0) - (1 if i == j else 0)
-        if coef == 0 or r == 0:
-            rhs = zero
-        else:
-            rhs = (sgn_row(i) * coef) * sum(
-                (_F_raw(py, j, r + s - 1 - t) * D(py, i, t) for t in range(0, r)), zero
-            )
-        ok = lhs == rhs
+        coef = sgn_row(i) * (int(i == j + 1) - int(i == j))
+        terms = (F(py, j, r + s - 1 - t) * D(py, i, t) for t in range(r if coef else 0))
+        ok = lhs == coef * sum(terms, zero)
     elif rel == "ef":
-        i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
         lhs = supercommutator(E(py, i, r), F(py, j, s))
         if i != j:
-            rhs = zero
+            ok = lhs.is_zero()
         else:
             top = r + s - 1
             dp = d_prime_series([D(py, i, t) for t in range(1, top + 1)])
-            sign = -sgn_row(i + 1)
-            rhs = sign * sum((dp[top - t] * D(py, i + 1, t) for t in range(0, top + 1)), zero)
-        ok = lhs == rhs
+            terms = (dp[top - t] * D(py, i + 1, t) for t in range(0, top + 1))
+            ok = lhs == -sgn_row(i + 1) * sum(terms, zero)
     elif rel == "ee-same":
-        i, r, s = kw["i"], kw["r"], kw["s"]
+        # t >= lo, and r+s-1-t >= r or >= s over the two ranges: all admissible
         lo = py.shift.s(i, i + 1) + 1
         lhs = supercommutator(E(py, i, r), E(py, i, s))
-        pieces = [_E_raw(py, i, r + s - 1 - t) * _E_raw(py, i, t) for t in range(lo, s)]
-        pieces += [-(_E_raw(py, i, r + s - 1 - t) * _E_raw(py, i, t)) for t in range(lo, r)]
-        rhs = sgn_row(i + 1) * sum(pieces, zero)
-        ok = lhs == rhs
+        pieces = [E(py, i, r + s - 1 - t) * E(py, i, t) for t in range(lo, s)]
+        pieces += [-(E(py, i, r + s - 1 - t) * E(py, i, t)) for t in range(lo, r)]
+        ok = lhs == sgn_row(i + 1) * sum(pieces, zero)
     elif rel == "ff-same":
-        i, r, s = kw["i"], kw["r"], kw["s"]
         lo = py.shift.s(i + 1, i) + 1
         lhs = supercommutator(F(py, i, r), F(py, i, s))
-        pieces = [_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t) for t in range(lo, r)]
-        pieces += [-(_F_raw(py, i, r + s - 1 - t) * _F_raw(py, i, t)) for t in range(lo, s)]
+        pieces = [F(py, i, r + s - 1 - t) * F(py, i, t) for t in range(lo, r)]
+        pieces += [-(F(py, i, r + s - 1 - t) * F(py, i, t)) for t in range(lo, s)]
         ok = lhs == sgn_row(i) * sum(pieces, zero)
         # Summing from t = 1 instead adds each product with t < lo to both
         # sums, once negated; admissible r, s >= lo put every such t in both
         # ranges, so the products cancel and the two readings are one element.
         variants["lower_index_i"] = variants["lower_index_zero"] = ok
     elif rel == "ee-adjacent":
-        i, r, s = kw["i"], kw["r"], kw["s"]
         lhs = supercommutator(E(py, i, r + 1), E(py, i + 1, s)) - supercommutator(
             E(py, i, r), E(py, i + 1, s + 1)
         )
-        rhs = sgn_row(i + 1) * (E(py, i, r) * E(py, i + 1, s))
-        ok = lhs == rhs
+        ok = lhs == sgn_row(i + 1) * (E(py, i, r) * E(py, i + 1, s))
     elif rel == "ff-adjacent":
-        i, r, s = kw["i"], kw["r"], kw["s"]
         lhs = supercommutator(F(py, i, r + 1), F(py, i + 1, s)) - supercommutator(
             F(py, i, r), F(py, i + 1, s + 1)
         )
         p0, p1, p2 = py.row_sign(i), py.row_sign(i + 1), py.row_sign(i + 2)
         sign = -1 if (1 + p0 * p1 + p1 * p2 + p0 * p2) % 2 else 1
-        verbatim = lhs == sign * (_F_raw(py, i, s) * _F_raw(py, i, r))
-        corrected = lhs == sign * (_F_raw(py, i + 1, s) * _F_raw(py, i, r))
-        variants["verbatim_F_i"] = verbatim
-        variants["corrected_F_i1"] = corrected
-        ok = corrected
+        # the verbatim reading takes F_i at F_{i+1}'s level s, which can lie
+        # below F_i's lowest level, so it builds T_{i+1,i;i}^{(s)} directly
+        variants["verbatim_F_i"] = lhs == sign * (T(py, i + 1, i, i, s) * F(py, i, r))
+        ok = variants["corrected_F_i1"] = lhs == sign * (F(py, i + 1, s) * F(py, i, r))
     elif rel in ("ee-distant", "ff-distant"):
-        i, j, r, s = kw["i"], kw["j"], kw["r"], kw["s"]
         if abs(i - j) <= 1:
             raise ValueError(f"relation {rel} needs |i-j| > 1")
-        make = E if rel == "ee-distant" else F
         ok = supercommutator(make(py, i, r), make(py, j, s)).is_zero()
     elif rel in ("ee-serre", "ff-serre"):
-        i, j, r, s, t = kw["i"], kw["j"], kw["r"], kw["s"], kw["t"]
         if abs(i - j) != 1:
             raise ValueError(f"relation {rel} needs |i-j| = 1")
-        make = E if rel == "ee-serre" else F
         lhs = supercommutator(make(py, i, r), supercommutator(make(py, i, s), make(py, j, t)))
         # with r == s the two summands coincide, and 2X = 0 iff X = 0 over Q
         if r != s:
@@ -358,30 +336,22 @@ def relation_report(py: Pyramid, rel: str, **kw) -> dict:
             )
         ok = lhs.is_zero()
     elif rel in ("ee-super-serre", "ff-super-serre"):
-        i, r, s = kw["i"], kw["r"], kw["s"]
         if py.nrows < 4:
             raise ValueError(f"relation {rel} needs m+n >= 4")
         if not 2 <= i <= py.nrows - 2:
             raise ValueError(f"relation {rel} needs 2 <= i <= m+n-2")
         if generator_parity(py, i) != 1:
             raise ValueError(f"relation {rel} needs |i| + |i+1| = 1")
-        if rel == "ee-super-serre":
-            mid = py.shift.s(i, i + 1) + 1
-            lhs = supercommutator(
-                supercommutator(E(py, i - 1, r), E(py, i, mid)),
-                supercommutator(E(py, i, mid), E(py, i + 1, s)),
-            )
-        else:
-            mid = py.shift.s(i + 1, i) + 1
-            lhs = supercommutator(
-                supercommutator(F(py, i - 1, r), F(py, i, mid)),
-                supercommutator(F(py, i, mid), F(py, i + 1, s)),
-            )
+        mid = (py.shift.s(i, i + 1) if make is E else py.shift.s(i + 1, i)) + 1
+        lhs = supercommutator(
+            supercommutator(make(py, i - 1, r), make(py, i, mid)),
+            supercommutator(make(py, i, mid), make(py, i + 1, s)),
+        )
         ok = lhs.is_zero()
     else:  # pragma: no cover
         raise AssertionError(rel)
 
-    indices = {k: kw[k] for k in ("i", "j", "r", "s", "t") if k in kw}
+    indices = {k: indices[k] for k in names}  # in ijrst order, as printed
     return {"rel": rel, "indices": indices, "ok": bool(ok), "variants": variants}
 
 
@@ -400,12 +370,13 @@ def iter_relation_instances(py: Pyramid, max_level: int = 3):
     with every free level bounded by max_level."""
     n = py.nrows
     smat = py.shift.s
-
-    def e_levels(i):
-        return range(smat(i, i + 1) + 1, max_level + 1)
-
-    def f_levels(i):
-        return range(smat(i + 1, i) + 1, max_level + 1)
+    # each paired family walks E's instances, then F's, at the same outer
+    # indices: (family letter, admissible levels of E_i or F_i)
+    sides = (
+        ("e", lambda i: range(smat(i, i + 1) + 1, max_level + 1)),
+        ("f", lambda i: range(smat(i + 1, i) + 1, max_level + 1)),
+    )
+    (_, e_levels), (_, f_levels) = sides
 
     for i in range(1, n + 1):
         yield "d-unit", {"i": i}
@@ -419,62 +390,44 @@ def iter_relation_instances(py: Pyramid, max_level: int = 3):
     for i in range(1, n + 1):
         for j in range(1, n):
             for r in range(1, max_level + 1):
-                for s in e_levels(j):
-                    yield "de", {"i": i, "j": j, "r": r, "s": s}
-                for s in f_levels(j):
-                    yield "df", {"i": i, "j": j, "r": r, "s": s}
+                for x, levels in sides:
+                    for s in levels(j):
+                        yield "d" + x, {"i": i, "j": j, "r": r, "s": s}
     for i in range(1, n):
         for j in range(1, n):
             for r in e_levels(i):
                 for s in f_levels(j):
                     yield "ef", {"i": i, "j": j, "r": r, "s": s}
     for i in range(1, n):
-        for r in e_levels(i):
-            for s in e_levels(i):
-                if s > r:
-                    yield "ee-same", {"i": i, "r": r, "s": s}
-        for r in f_levels(i):
-            for s in f_levels(i):
-                if s > r:
-                    yield "ff-same", {"i": i, "r": r, "s": s}
+        for x, levels in sides:
+            for r in levels(i):
+                for s in range(r + 1, max_level + 1):
+                    yield x + x + "-same", {"i": i, "r": r, "s": s}
     for i in range(1, n - 1):
-        for r in e_levels(i):
-            for s in e_levels(i + 1):
-                yield "ee-adjacent", {"i": i, "r": r, "s": s}
-        for r in f_levels(i):
-            for s in f_levels(i + 1):
-                yield "ff-adjacent", {"i": i, "r": r, "s": s}
+        for x, levels in sides:
+            for r in levels(i):
+                for s in levels(i + 1):
+                    yield x + x + "-adjacent", {"i": i, "r": r, "s": s}
+    # distant and Serre stay two passes: one shared (i, j) walk would
+    # interleave their instances
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
-                for r in e_levels(i):
-                    for s in e_levels(j):
-                        yield "ee-distant", {"i": i, "j": j, "r": r, "s": s}
-                for r in f_levels(i):
-                    for s in f_levels(j):
-                        yield "ff-distant", {"i": i, "j": j, "r": r, "s": s}
+                for x, levels in sides:
+                    for r in levels(i):
+                        for s in levels(j):
+                            yield x + x + "-distant", {"i": i, "j": j, "r": r, "s": s}
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) == 1:
-                for r in e_levels(i):
-                    for s in e_levels(i):
-                        if s < r:
-                            continue
-                        for t in e_levels(j):
-                            yield "ee-serre", {"i": i, "j": j, "r": r, "s": s, "t": t}
-                for r in f_levels(i):
-                    for s in f_levels(i):
-                        if s < r:
-                            continue
-                        for t in f_levels(j):
-                            yield "ff-serre", {"i": i, "j": j, "r": r, "s": s, "t": t}
-    if n >= 4:
-        for i in range(2, n - 1):
-            if generator_parity(py, i) != 1:
-                continue
-            for r in e_levels(i - 1):
-                for s in e_levels(i + 1):
-                    yield "ee-super-serre", {"i": i, "r": r, "s": s}
-            for r in f_levels(i - 1):
-                for s in f_levels(i + 1):
-                    yield "ff-super-serre", {"i": i, "r": r, "s": s}
+                for x, levels in sides:
+                    for r in levels(i):
+                        for s in range(r, max_level + 1):
+                            for t in levels(j):
+                                yield x + x + "-serre", {"i": i, "j": j, "r": r, "s": s, "t": t}
+    for i in range(2, n - 1):
+        if generator_parity(py, i) == 1:
+            for x, levels in sides:
+                for r in levels(i - 1):
+                    for s in levels(i + 1):
+                        yield x + x + "-super-serre", {"i": i, "r": r, "s": s}

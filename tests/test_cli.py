@@ -137,6 +137,21 @@ def test_wgen_verify_rejects_empty_relation_list(files, capsys, suites):
         assert "--relations" in doc["message"]
 
 
+@pytest.mark.parametrize("suites", ["membership", "membership,truncation"])
+def test_wgen_verify_rejects_relation_filter_without_relations_suite(files, capsys, suites):
+    # the filter would be ignored, so the run would check none of it
+    code, out, err = run(
+        ["wgen-verify", "--pyramid", files["py.json"], "--suites", suites,
+         "--relations", "dd-comm"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input"
+    assert "--relations" in doc["message"] and "--suites" in doc["message"]
+
+
 def test_module_eval(files, capsys):
     code, out, _ = run(["module-eval", "--tableau", files["tab.json"]], capsys)
     assert code == 0

@@ -1,6 +1,8 @@
 """Generator formulas, relation verification, and truncation on gl(3|6)."""
 
 import gc
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -193,6 +195,21 @@ def test_d_prime_inverts_generators(gl36, alg36):
         assert acc.is_zero()
 
 
+def test_d_prime_series_inverts_noncommuting_series(gl36, alg36):
+    # D' comes from a left-sided convolution, yet it is a two-sided inverse
+    # for any series with constant term 1, commuting or not: the d-inverse
+    # family checks product arithmetic, not the generators
+    x, y, z = (generator(alg36, plus(a), plus(b)) for a, b in ((1, 2), (2, 1), (2, 3)))
+    assert x * y != y * x and x * z != z * x
+    one = identity(alg36)
+    series = [one, x, y, z]
+    dp = d_prime_series(series[1:])
+    for r in range(4):
+        delta = one if r == 0 else scalar_element(alg36, 0)
+        assert sum((series[t] * dp[r - t] for t in range(r + 1)), scalar_element(alg36, 0)) == delta
+        assert sum((dp[r - t] * series[t] for t in range(r + 1)), scalar_element(alg36, 0)) == delta
+
+
 def test_relation_ids_registry():
     assert len(RELATION_IDS) == 16
     assert len(set(RELATION_IDS)) == 16
@@ -212,6 +229,50 @@ def test_relation_report_shape(gl36):
     assert rep["rel"] == "ef"
     assert rep["ok"] is True
     assert rep["indices"] == {"i": 1, "j": 1, "r": 2, "s": 2}
+
+
+def test_relation_report_checks_index_names(gl36):
+    # a missing index and an unused one both name the family's indices
+    with pytest.raises(ValueError, match="relation de takes indices i, j, r, s; got i, r, s"):
+        relation_report(gl36, "de", i=1, r=1, s=2)
+    with pytest.raises(ValueError, match="takes indices i, j, r, s; got i, j, r, s, t"):
+        relation_report(gl36, "dd-comm", i=1, j=2, r=1, s=1, t=9)
+    with pytest.raises(ValueError, match="takes indices i; got none"):
+        relation_report(gl36, "d-unit")
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# sha256 of the instance stream at levels 2, 3, 4, and of the level-2 reports
+_GOLDEN = {
+    "gl36": (
+        (
+            "b868eba2bb666ea7850544fd8571baf52d0be8cde13230e082022bb9c551085c",
+            "08efa8a32e388ed42eded8ad21629b451e704bbf2a6c978fa5a192352f7ebaf0",
+            "40c1c0eeae56eefbec6d8012446f1a404ed2630c33cab1a495a2af4c7970fca1",
+        ),
+        "68637324e75ecef2ad7b995c360b9cd8f93900c6bf3676edfd38579612bb156d",
+    ),
+    "py4": (
+        (
+            "304f2584e642de2a094c3d880cc70862804d491259a3d07e7fa1fdead8996c24",
+            "0e83499e026beaa6cec92e00e753c1a2cb2eeda3dfdc32e3ff06c9a5df0355ae",
+            "e4a5e4fde92302a08e367ca19c5198a4081917e5b86d95ba2164b581e08055e7",
+        ),
+        "831d9dac2298c1fd9f6bae8c5008d3173926308ed822ca3272d59c6c8b664ee8",
+    ),
+}
+
+
+def test_instance_order_and_level_two_reports_are_pinned(gl36, py4):
+    for name, py in (("gl36", gl36), ("py4", py4)):
+        streams, reports = _GOLDEN[name]
+        for level, digest in zip((2, 3, 4), streams):
+            assert _sha256(list(iter_relation_instances(py, level))) == digest, (name, level)
+        got = [relation_report(py, rel, **kw) for rel, kw in iter_relation_instances(py, 2)]
+        assert _sha256(got) == reports, name
 
 
 def test_ff_adjacent_variants_surfaced(gl36):
