@@ -49,7 +49,6 @@ from .pyramid import (
     enumerate_shapes,
     from_shift,
     good_pair_check,
-    graded_basis,
     h_pi,
     vertical_adjacent_pairs,
 )

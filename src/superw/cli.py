@@ -26,7 +26,7 @@ from .onedim import (
     tableau_from_eigenvalues,
 )
 from .pbw import is_W_invariant
-from .pyramid import Pyramid, ShiftMatrix, e_pi, good_pair_check, h_pi
+from .pyramid import Pyramid, ShiftMatrix, e_pi, good_pair_check
 from .scalars import format_scalar, parse_scalar
 from .tableau import Tableau, classify, is_column_connected
 from .yangian import (
@@ -100,7 +100,6 @@ def cmd_pyramid(args) -> int:
         raise ValueError("--shift file must hold a JSON list of rows")
     py = Pyramid(ShiftMatrix.from_rows(rows), args.ell, args.signs)
     ep = e_pi(py)
-    hp = h_pi(py)
     d0, d1 = centralizer_dims(ep, py.M, py.N)
     good = good_pair_check(py)
     h_diag = [-py.col_x(b) for b in py.boxes]

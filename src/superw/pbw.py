@@ -1,9 +1,11 @@
 """U(gl(M|N)) as a PBW term-rewriting engine, adapted to a pyramid.
 
-The canonical basis order puts diagonal h first, then off-diagonal h,
-then p' (positive degree), and the m-pairs (negative degree) last.  With
-the m-pairs trailing, the projection onto U(p) along the left ideal
-generated by {a - chi(a) : a in m} acts monomial by monomial: u·a is
+The algebra orders its own PBW basis by one stable sort of all pairs
+(i, j) with the key (d < 0, d, i != j), d the degree of e_ij: U(p) first,
+by degree from 0 up with the diagonal pairs leading degree 0, then the
+m-pairs (negative degree) from the lowest degree up.  With the m-pairs
+trailing, the projection onto U(p) along the left ideal generated by
+{a - chi(a) : a in m} acts monomial by monomial: u·a is
 congruent to chi(a)·u, so the trailing m-factors of a normal monomial
 are replaced by their chi values.  (Putting m first would instead realize
 the projection along the right ideal, under which the explicit generators
@@ -45,7 +47,7 @@ from .gl import (
     superform,
 )
 from .gl import e as lie_e
-from .pyramid import Pyramid, e_pi, graded_basis
+from .pyramid import Pyramid, all_pairs, e_pi
 from .scalars import Scalar
 
 
@@ -67,23 +69,24 @@ class EnvelopingAlgebra:
         # py's equality key, not py: py owns this algebra (in py.w_state), and
         # a reference back would make a cycle only the cycle collector frees.
         self.pyramid_key = py._key()
-        p_basis = graded_basis(py, "p")
-        m_basis = graded_basis(py, "m")
-        self.pairs: tuple[Pair, ...] = tuple(p_basis + m_basis)
+        # The PBW order (module docstring) is decided here alone.  all_pairs
+        # lists the pairs lexicographically and the sort is stable, so equal
+        # keys keep that order: the diagonal pairs come in py.boxes order
+        # (ndiag of them lead the basis), and the other pairs of one degree
+        # compare as tuples of boxes.
+        def key(pr: Pair) -> tuple[bool, int, bool]:
+            d = py.degree(pr)
+            return (d < 0, d, pr[0] != pr[1])
+
+        self.pairs: tuple[Pair, ...] = tuple(sorted(all_pairs(py), key=key))
         self.index: dict[Pair, int] = {pr: k for k, pr in enumerate(self.pairs)}
         self.parities: tuple[int, ...] = tuple(pair_parity(i, j) for (i, j) in self.pairs)
-        self.p_count = len(p_basis)
-        self.m_count = len(m_basis)
+        self.p_count = sum(1 for pr in self.pairs if py.degree(pr) >= 0)
         self.ndiag = len(py.boxes)
-        self.diag_boxes: tuple[BoxIndex, ...] = tuple(pr[0] for pr in p_basis[: self.ndiag])
-        for k in range(self.ndiag):
-            pr = p_basis[k]
-            if pr[0] != pr[1]:
-                raise AssertionError("h-basis must start with the diagonal pairs")
         # chi(x) = (e_pi, x); e_pi is built once here, not once per m-pair.
         ep = e_pi(py)
         self.chi_values: tuple[int, ...] = tuple(
-            int(superform(ep, lie_e(i, j))) for (i, j) in m_basis
+            int(superform(ep, lie_e(i, j))) for (i, j) in self.pairs[self.p_count :]
         )
         # Odd squares rewrite to (1/2)[x,x]; for gl(M|N) that bracket is 0.
         for k, pr in enumerate(self.pairs):
@@ -423,7 +426,7 @@ def evaluate_one_dim(py: Pyramid, u: UEAElement, diag) -> Scalar:
         alive = True
         for idx in mono:
             if idx < nd:
-                val *= diag[alg.diag_boxes[idx]]
+                val *= diag[alg.pairs[idx][0]]
             else:
                 alive = False
                 break

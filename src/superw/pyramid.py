@@ -252,30 +252,8 @@ def h_pi(py: Pyramid) -> LieSuperElement:
 
 
 def all_pairs(py: Pyramid) -> list[Pair]:
+    """Every pair of boxes, lexicographically in the box order."""
     return [(i, j) for i in py.boxes for j in py.boxes]
-
-
-def graded_basis(py: Pyramid, part: str) -> list[Pair]:
-    """Ordered basis pairs of one of the subalgebras cut out by the grading.
-
-    The orders are canonical and shared with the PBW engine: within m and
-    p_prime by (degree, pair); within h diagonal pairs first, then by pair.
-    Pairs compare as tuples of boxes, so "by pair" is lexicographic in the
-    basis order.  all_pairs already lists pairs in that order, so filtering
-    it keeps the pair order, and sorting by degree alone keeps it within
-    each degree because Python's sort is stable.
-    """
-    pairs = all_pairs(py)
-    if part == "m":
-        return sorted((pr for pr in pairs if py.degree(pr) < 0), key=py.degree)
-    if part == "h":
-        diag = [pr for pr in pairs if pr[0] == pr[1]]
-        return diag + [pr for pr in pairs if pr[0] != pr[1] and py.degree(pr) == 0]
-    if part == "p_prime":
-        return sorted((pr for pr in pairs if py.degree(pr) > 0), key=py.degree)
-    if part == "p":
-        return graded_basis(py, "h") + graded_basis(py, "p_prime")
-    raise ValueError(f"unknown part {part!r}; expected one of m, h, p, p_prime")
 
 
 def good_pair_check(py: Pyramid) -> bool:

@@ -232,7 +232,7 @@ RELATION_IDS = tuple(_INDICES)
 
 
 def _norm_rel(rel: str) -> str:
-    rel = rel.strip().strip("()")
+    rel = rel.strip()
     if rel not in RELATION_IDS:
         raise ValueError(f"unknown relation id {rel!r}; expected one of {RELATION_IDS}")
     return rel

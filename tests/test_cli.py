@@ -49,6 +49,9 @@ def files(tmp_path):
     put("row3.json", {"shift": [[0]], "ell": 3, "signs": "0"})
     # (z - 1)(z^2 + 1): one rational root, then an irreducible quadratic
     put("cubic.json", {"a": [["1", "1", "1"]]})
+    put("list.json", [1, 2])
+    put("no_a.json", {"b": [["2", "1"], ["3"], ["-1"]]})
+    put("non_square.json", {"shift": [[0, 0]], "ell": 1, "signs": "0"})
     return paths
 
 
@@ -343,6 +346,32 @@ def test_invalid_inputs(files, capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dims", "--pyramid", "list.json", "--prime", "5"], "must hold an object with shift"),
+        (["module-eval", "--tableau", "list.json"], "must hold an object with pyramid"),
+        (["pyramid", "--shift", "py.json", "--ell", "4", "--signs", "101"],
+         "--shift file must hold a JSON list"),
+        (["wgen-verify", "--pyramid", "py.json", "--suites", "relations,bogus"],
+         "unknown suites: ['bogus']"),
+        (["classify", "--pyramid", "py.json", "--pool=,"], "--pool must list"),
+        (["solve", "--pyramid", "py.json", "--eigenvalues", "no_a.json"], "object with key a"),
+        (["dims", "--pyramid", "py.json", "--prime", "1"], "--prime must be at least 2"),
+        (["dims", "--pyramid", "non_square.json", "--prime", "5"], "must be square"),
+        (["wgen-verify", "--pyramid", "py.json", "--suites", "relations", "--relations", "(de)"],
+         "unknown relation id '(de)'"),
+    ],
+)
+def test_invalid_input_exits_2(files, capsys, argv, message):
+    code, out, err = run([files.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input"
+    assert message in doc["message"]
 
 
 def _env_with_source():

@@ -15,12 +15,11 @@ from superw.pyramid import (
     enumerate_shapes,
     from_shift,
     good_pair_check,
-    graded_basis,
     h_pi,
     vertical_adjacent_pairs,
 )
 from superw.pyramid import Pyramid
-from superw.yangian import generator_parity
+from superw.yangian import algebra_for, generator_parity
 
 
 def test_flagship_attributes(gl36):
@@ -166,19 +165,36 @@ def test_flagship_chi(gl36):
 
 def test_graded_basis_partition(gl36):
     py = gl36
-    m = graded_basis(py, "m")
-    h = graded_basis(py, "h")
-    pp = graded_basis(py, "p_prime")
-    assert len(m) + len(h) + len(pp) == len(all_pairs(py)) == 81
-    assert graded_basis(py, "p") == h + pp
+    alg = algebra_for(py)
+    pc = alg.p_count
+    p, m = alg.pairs[:pc], alg.pairs[pc:]
+    assert sorted(alg.pairs) == sorted(all_pairs(py))
+    assert len(alg.pairs) == 81
+    assert all(py.degree(pr) >= 0 for pr in p)
     assert all(py.degree(pr) < 0 for pr in m)
-    assert all(py.degree(pr) == 0 for pr in h)
-    assert all(py.degree(pr) > 0 for pr in pp)
-    # diagonal pairs lead the h block
+    # U(p) by degree from 0 up, m from the lowest degree up
+    assert [py.degree(pr) for pr in p] == sorted(py.degree(pr) for pr in p)
+    assert [py.degree(pr) for pr in m] == sorted(py.degree(pr) for pr in m)
+    # the diagonal pairs lead, in box order
     nd = len(py.boxes)
-    assert all(i == j for (i, j) in h[:nd])
-    with pytest.raises(ValueError):
-        graded_basis(py, "q")
+    assert alg.ndiag == nd
+    assert list(p[:nd]) == [(b, b) for b in py.boxes]
+
+
+@pytest.mark.parametrize(
+    "shift, ell, message",
+    [
+        ([[0, 0]], 1, "must be square"),
+        ([[1]], 1, "zero diagonal"),
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 2, "not additive on chain 1<=2<=3"),
+        ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 2, "not additive on chain 3>=2>=1"),
+        ([[0]], 0, "ell must be positive"),
+    ],
+)
+def test_from_json_rejects_invalid_shape(shift, ell, message):
+    signs = "0" * len(shift)
+    with pytest.raises(ValueError, match=message):
+        Pyramid.from_json({"shift": shift, "ell": ell, "signs": signs})
 
 
 def test_box_and_basis_orders_match_explicit_key():
@@ -210,10 +226,9 @@ def test_box_and_basis_orders_match_explicit_key():
             (pr for pr in pairs if pr[0] != pr[1] and py.degree(pr) == 0), key=pair_key
         )
         pp = sorted((pr for pr in pairs if py.degree(pr) > 0), key=by_degree)
-        assert graded_basis(py, "m") == m, py
-        assert graded_basis(py, "h") == diag + off, py
-        assert graded_basis(py, "p_prime") == pp, py
-        assert graded_basis(py, "p") == diag + off + pp, py
+        alg = algebra_for(py)
+        assert list(alg.pairs) == diag + off + pp + m, py
+        assert alg.p_count == len(diag + off + pp), py
 
 
 def test_vertical_adjacencies(gl36):

@@ -219,9 +219,11 @@ def test_relation_ids_registry():
 
 def test_relation_report_normalizes_names(gl36):
     assert relation_report(gl36, "dd-comm", i=1, j=2, r=1, s=1)["ok"]
-    assert relation_report(gl36, " (dd-comm) ", i=1, j=2, r=1, s=1)["ok"]
-    with pytest.raises(ValueError):
-        relation_report(gl36, "no-such-relation", i=1, r=1)
+    assert relation_report(gl36, " dd-comm ", i=1, j=2, r=1, s=1)["ok"]
+    # only surrounding whitespace is trimmed: parentheses are not
+    for rel in ("no-such-relation", "(de)", "((de", "(dd-comm)"):
+        with pytest.raises(ValueError, match="unknown relation id"):
+            relation_report(gl36, rel, i=1, r=1)
 
 
 def test_relation_report_shape(gl36):
